@@ -1,4 +1,3 @@
-module Online = Sos.Online
 module Session = Sos.Online.Session
 module Journal = Robust.Journal
 
@@ -50,6 +49,7 @@ let c_errors = Obs.Metrics.runtime_counter "serve.errors"
 let c_err_deadline = Obs.Metrics.runtime_counter "serve.errors.deadline"
 let c_solve_full = Obs.Metrics.runtime_counter "serve.solve.full"
 let c_solve_extended = Obs.Metrics.runtime_counter "serve.solve.extended"
+let c_solve_rewound = Obs.Metrics.runtime_counter "serve.solve.rewound"
 let c_solve_cached = Obs.Metrics.runtime_counter "serve.solve.cached"
 let c_journal_entries = Obs.Metrics.runtime_counter "serve.journal.entries"
 let h_solve_seconds = Obs.Hist.runtime "serve.solve.seconds"
@@ -140,45 +140,33 @@ let reply_detail reply =
 
 (* ------------------------------------------------------------- queries *)
 
-let find_id_of_position inst pos =
-  let original = inst.Sos.Instance.original in
-  let id = ref (-1) in
-  Array.iteri (fun i p -> if p = pos then id := i) original;
-  !id
-
-let format_solved ~index ~tenant session (r : Online.result) job =
-  let n = Sos.Instance.n r.Online.instance in
+let format_solved ~index ~tenant session (n, makespan) job =
   match job with
   | None ->
-      let lb =
-        Online.lower_bound ~m:(Session.m session) ~scale:(Session.scale session)
-          (Session.arrivals session)
-      in
+      let lb = Session.lower_bound session in
       if lb > 0 then
-        Obs.Hist.observe h_query_ratio
-          (float_of_int r.Online.makespan /. float_of_int lb);
+        Obs.Hist.observe h_query_ratio (float_of_int makespan /. float_of_int lb);
       Printf.sprintf "%d ok schedule tenant=%s jobs=%d makespan=%d lb=%d" index
-        tenant n r.Online.makespan lb
+        tenant n makespan lb
   | Some k ->
       if k >= n then
         Printf.sprintf "%d error invalid job %d out of range (have %d)" index k n
       else
         Printf.sprintf "%d ok job tenant=%s job=%d start=%d" index tenant k
-          r.Online.start_times.(find_id_of_position r.Online.instance k)
+          (Session.start session k)
 
-let format_stale ~index ~tenant (r : Online.result) job =
-  let n = Sos.Instance.n r.Online.instance in
+let format_stale ~index ~tenant session (n, makespan) job =
   match job with
   | None ->
       Printf.sprintf "%d stale schedule tenant=%s jobs=%d makespan=%d" index
-        tenant n r.Online.makespan
+        tenant n makespan
   | Some k ->
       if k >= n then
         Printf.sprintf "%d error deadline job %d not in last-good schedule (has %d)"
           index k n
       else
         Printf.sprintf "%d stale job tenant=%s job=%d start=%d" index tenant k
-          r.Online.start_times.(find_id_of_position r.Online.instance k)
+          (Session.start session k)
 
 let handle_query (t : t) pool cancel ~index ~tenant ~job ~deadline =
   match Hashtbl.find_opt t.sessions tenant with
@@ -203,7 +191,7 @@ let handle_query (t : t) pool cancel ~index ~tenant ~job ~deadline =
           (Robust.Context.make ~index ~attempt ~cancel:token)
           (fun () ->
             Robust.Chaos.point "serve.request";
-            Session.solve session)
+            Session.advance session)
       in
       let before = Session.stats session in
       let t0 =
@@ -223,17 +211,19 @@ let handle_query (t : t) pool cancel ~index ~tenant ~job ~deadline =
         (d after.Session.full_solves before.Session.full_solves);
       Obs.Metrics.add c_solve_extended
         (d after.Session.extended_solves before.Session.extended_solves);
+      Obs.Metrics.add c_solve_rewound
+        (d after.Session.rewound_solves before.Session.rewound_solves);
       Obs.Metrics.add c_solve_cached
         (d after.Session.cached_hits before.Session.cached_hits);
       (match out.(0) with
-      | Ok r -> format_solved ~index ~tenant session r job
+      | Ok solved -> format_solved ~index ~tenant session solved job
       | Error err -> begin
           match err.Engine.Batch.failure with
           | Robust.Failure.Deadline_exceeded _ -> begin
               (* Structured degradation: answer with the last committed
                  schedule, marked stale, rather than nothing. *)
-              match Session.peek session with
-              | Some r -> format_stale ~index ~tenant r job
+              match Session.committed session with
+              | Some last -> format_stale ~index ~tenant session last job
               | None ->
                   Printf.sprintf "%d error deadline %s" index
                     err.Engine.Batch.message

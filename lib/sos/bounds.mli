@@ -26,6 +26,17 @@ val lower_bound_checked : Instance.t -> (int, Robust.Failure.invalid) result
 (** Non-raising form of {!lower_bound} for entry points that report
     structured failures. *)
 
+val lower_bound_of_sums :
+  m:int ->
+  scale:int ->
+  requirement:int option ->
+  volume:int option ->
+  max_size:int ->
+  (int, Robust.Failure.invalid) result
+(** {!lower_bound_checked} from sums kept elsewhere (an online session
+    accumulates them job by job): [requirement] is [Σ p_j·r_j] and
+    [volume] is [Σ p_j], each [None] once it exceeded [max_int]. *)
+
 val theorem_3_3_bound : Instance.t -> makespan:int -> float
 (** [makespan / lower_bound] as a float ([infinity] when the lower bound is
     0 and makespan positive, [1.0] when both are 0). *)

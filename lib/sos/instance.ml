@@ -5,9 +5,14 @@ type t = {
   original : int array;
 }
 
-let create ~m ~scale specs =
+let placeholder = Job.v ~id:0 ~size:1 ~req:1
+
+let check_dims ~m ~scale =
   if m < 2 then invalid_arg "Instance.create: need m >= 2";
-  if scale < 1 then invalid_arg "Instance.create: need scale >= 1";
+  if scale < 1 then invalid_arg "Instance.create: need scale >= 1"
+
+let create ~m ~scale specs =
+  check_dims ~m ~scale;
   let tagged =
     List.mapi (fun pos (size, req) -> (pos, Job.v ~id:pos ~size ~req)) specs
   in
@@ -18,6 +23,23 @@ let create ~m ~scale specs =
   in
   let original = Array.map fst arr in
   { m; scale; jobs; original }
+
+(* Filled in place: [Array.map] building a large array of fresh records
+   forces a minor collection on every call. *)
+let of_ordered ~m ~scale ~size ~req order =
+  check_dims ~m ~scale;
+  let n = Array.length order in
+  let jobs = Array.make n placeholder in
+  Array.iteri
+    (fun i pos ->
+      if pos < 0 || pos >= n then invalid_arg "Instance.of_ordered: position out of range";
+      (if i > 0 then
+         let prev = order.(i - 1) in
+         if req prev > req pos || (req prev = req pos && prev >= pos) then
+           invalid_arg "Instance.of_ordered: not in (req, position) order");
+      jobs.(i) <- Job.v ~id:i ~size:(size pos) ~req:(req pos))
+    order;
+  { m; scale; jobs; original = Array.copy order }
 
 let of_floats ~m ~scale specs =
   let quantize f =

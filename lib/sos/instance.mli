@@ -20,6 +20,19 @@ val create : m:int -> scale:int -> (int * int) list -> t
     [scale < 1], or any size/req is non-positive. The empty job list is
     allowed. *)
 
+val check_dims : m:int -> scale:int -> unit
+(** Raises the [Invalid_argument] {!create} raises for [m < 2] or
+    [scale < 1]; does nothing otherwise. *)
+
+val of_ordered :
+  m:int -> scale:int -> size:(int -> int) -> req:(int -> int) -> int array -> t
+(** [of_ordered ~m ~scale ~size ~req order] is {!create} on the jobs
+    [(size pos, req pos)] for [pos = 0 … n−1], given [order]: those
+    positions already sorted by [(req, position)], the order {!create}
+    sorts into. No sort runs, so a caller that keeps the order across
+    calls builds an instance in O(n). Raises [Invalid_argument] as
+    {!create} does, and when [order] is not that order of [0 … n−1]. *)
+
 val of_floats : m:int -> scale:int -> (int * float) list -> t
 (** Like {!create} with requirements given as fractions of the resource;
     each is rounded to the nearest unit, clamped to at least 1 unit. *)

@@ -6,22 +6,42 @@
     bound.
 
     Policy, per time step: the active set keeps every started-unfinished
-    job (non-preemption), then admits released jobs by smallest requirement
-    while fewer than m−1 jobs are active and the active set without its
-    largest member stays below the full resource (the window algorithm's
-    properties (b)/(e) in spirit). Assignment mirrors Listing 1: everyone
-    except the largest active job gets its full requirement, the largest
-    the leftover.
+    job (non-preemption), then admits released jobs while fewer than m−1
+    jobs are active and the active set without its largest member stays
+    below the full resource (the window algorithm's properties (b)/(e) in
+    spirit); the first candidate that does not fit ends admission for the
+    step. Assignment mirrors Listing 1: everyone except the largest active
+    job gets its full requirement, the largest the leftover.
+
+    Admission order is batch-FIFO, not a global smallest-requirement
+    order. The jobs released since the last successful admission are
+    offered by smallest requirement (ties by submission position); a
+    successful admission moves all of them, in that order, behind the
+    jobs an earlier admission already passed over. Those older jobs are
+    offered first, so a small job released later waits behind a larger
+    one that was released earlier and skipped.
+
+    The engine is event-driven: it advances from a release, a completion,
+    or the step in which a job pays its last partial units to the next,
+    emits run-length-encoded steps, and jumps idle gaps in one block. A
+    solve takes at most [3n+1] iterations, whatever the job sizes.
 
     Two entry points share one engine. {!run} is the one-shot form.
     {!Session} is the incremental form behind [sosctl serve]: jobs are
     submitted one at a time under optional job-count and volume budgets,
-    and each [solve] reuses the committed simulation when it can —
-    answering from cache when nothing changed, extending the finished
-    simulation when every new job is released at or after its frontier,
-    and only re-simulating from scratch when a new arrival rewrites
-    history. All three paths produce results byte-identical to {!run} on
-    the materialized job set (tested property). *)
+    and each [solve] takes one of four paths:
+    - {b cached}: nothing was added since the last solve;
+    - {b extended}: every new job is released at or after the committed
+      frontier, so the finished simulation continues from there;
+    - {b rewound}: the simulation restarts from the last checkpoint at or
+      before the first step a new job could change. That is its release,
+      or later: a new job cannot be admitted while an older job that
+      would be offered before it still waits. A checkpoint is kept at
+      every step that admits a job;
+    - {b full}: that checkpoint is time 0.
+    All four produce results byte-identical to {!run} on the materialized
+    job set (tested property, and tested step by step against the
+    unit-step engine this one replaced). *)
 
 type arrival = { release : int; size : int; req : int }
 (** [release ≥ 0] in time steps; [size], [req] as in {!Instance}. *)
@@ -50,8 +70,8 @@ module Session : sig
   val create :
     ?max_jobs:int -> ?max_volume:int -> m:int -> scale:int -> unit -> t
   (** A fresh empty session. Budgets are enforced by {!add}; omitted means
-      unlimited. [m]/[scale] are validated when the first result is
-      materialized, exactly as {!run} validates them. *)
+      unlimited. [m]/[scale] are validated by the first [solve] or
+      {!advance}, exactly as {!run} validates them. *)
 
   val add : t -> arrival -> (int, reject) Stdlib.result
   (** Admit one job; [Ok position] is its 0-based submission index.
@@ -67,8 +87,26 @@ module Session : sig
 
   val peek : t -> result option
   (** The last successfully committed result, without solving. [None]
-      until the first completed [solve]. The serve layer's stale answer:
-      when a fresh solve misses its deadline this is what degrades to. *)
+      until the first completed [solve] or {!advance}. Built on first use
+      and kept until the next commit. *)
+
+  val advance : t -> int * int
+  (** What {!solve} does short of building the result: bring the
+      committed simulation up to date, with the same solve paths,
+      {!stats}, deadline and chaos behaviour, and return its
+      [(jobs, makespan)]. [sosctl serve] answers from this, {!committed}
+      and {!start}, so a query never pays for the offline instance and
+      schedule. *)
+
+  val committed : t -> (int * int) option
+  (** [(jobs, makespan)] of the last committed simulation: {!peek}'s
+      answer without building it. The serve layer's stale answer: when a
+      fresh solve misses its deadline this is what degrades to. *)
+
+  val start : t -> int -> int
+  (** [start t pos] is the first step of the job submitted at position
+      [pos] in the committed simulation. Raises [Invalid_argument] unless
+      [0 ≤ pos <] the committed job count. *)
 
   val dirty : t -> bool
   (** [true] when {!peek}'s answer (or its absence) is stale — jobs were
@@ -86,11 +124,22 @@ module Session : sig
   val arrivals : t -> arrival list
   (** In submission order. *)
 
-  type stats = { full_solves : int; extended_solves : int; cached_hits : int }
+  val lower_bound : t -> int
+  (** The module-level [lower_bound ~m ~scale (arrivals t)] in O(1): the
+      session keeps the sums as jobs are added. Raises what that function
+      raises, including [Robust.Failure.Invalid (Overflow _)] once
+      [Σ p·r] exceeds [max_int]. *)
+
+  type stats = {
+    full_solves : int;  (** simulated from time 0 *)
+    extended_solves : int;  (** continued from the committed frontier *)
+    rewound_solves : int;  (** resumed from an earlier checkpoint *)
+    cached_hits : int;  (** answered with the committed result *)
+    iterations : int;  (** event steps simulated by committed solves *)
+  }
 
   val stats : t -> stats
-  (** How the solves so far were answered: re-simulated from scratch,
-      extended from the committed frontier, or served from cache. *)
+  (** How the solves so far were answered, and the work they took. *)
 end
 
 val run : m:int -> scale:int -> arrival list -> result

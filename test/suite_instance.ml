@@ -91,6 +91,22 @@ let qcheck_sorted_after_create =
       done;
       !ok)
 
+let qcheck_of_ordered =
+  Helpers.qcheck "of_ordered equals create and rejects other orders"
+    QCheck.(list_of_size Gen.(int_range 0 30) (pair (int_range 1 9) (int_range 1 20)))
+    (fun specs ->
+      let inst = Instance.create ~m:3 ~scale:20 specs in
+      let sizes = Array.of_list (List.map fst specs) in
+      let reqs = Array.of_list (List.map snd specs) in
+      let build order =
+        Instance.of_ordered ~m:3 ~scale:20 ~size:(Array.get sizes) ~req:(Array.get reqs) order
+      in
+      let order = inst.Instance.original in
+      let reversed = Array.of_list (List.rev (Array.to_list order)) in
+      Instance.to_string (build order) = Instance.to_string inst
+      && (Array.length order < 2
+         || match build reversed with _ -> false | exception Invalid_argument _ -> true))
+
 let qcheck_roundtrip =
   Helpers.qcheck "serialization round-trip (arbitrary instances)"
     QCheck.(
@@ -142,6 +158,7 @@ let suite =
       Alcotest.test_case "bounds empty" `Quick test_bounds_empty;
       Alcotest.test_case "guarantee formulas" `Quick test_guarantees;
       qcheck_sorted_after_create;
+      qcheck_of_ordered;
       qcheck_roundtrip;
       qcheck_lb_monotone_under_addition;
       qcheck_lb_le_trivial_schedule;

@@ -207,6 +207,156 @@ let test_session_peek_and_dirty () =
   | Some p -> Alcotest.(check int) "stale peek" r.Online.makespan p.Online.makespan
   | None -> Alcotest.fail "peek lost on add")
 
+(* --- the event-driven engine against the seed semantics --- *)
+
+let expanded_steps (r : Online.result) = (Schedule.expand r.Online.schedule).Schedule.steps
+
+let check_against_oracle ~ctx ~m ~scale (r : Online.result) arrivals =
+  let o = Online_oracle.run ~m ~scale arrivals in
+  Alcotest.(check string)
+    (ctx ^ ": instance")
+    (Instance.to_string o.Online.instance)
+    (Instance.to_string r.Online.instance);
+  Alcotest.(check int) (ctx ^ ": makespan") o.Online.makespan r.Online.makespan;
+  Alcotest.(check (array int)) (ctx ^ ": start times") o.Online.start_times r.Online.start_times;
+  if expanded_steps r <> o.Online.schedule.Schedule.steps then
+    Alcotest.failf "%s: unit steps differ from the seed engine" ctx
+
+(* Early releases rewrite history; late ones extend it. *)
+let oracle_arrivals rng =
+  List.init (Rng.int_in rng 1 25) (fun i ->
+      let release =
+        if Rng.int_in rng 0 2 = 0 then Rng.int_in rng 0 10 else Rng.int_in rng 0 (12 * (i + 1))
+      in
+      { Online.release; size = Rng.int_in rng 1 50; req = Rng.int_in rng 1 120 })
+
+let qcheck_matches_oracle =
+  Helpers.qcheck ~count:150 "incremental solves equal the seed engine, unit step by unit step"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = Rng.int_in rng 2 8 in
+      let arrivals = oracle_arrivals rng in
+      let session = Online.Session.create ~m ~scale:100 () in
+      List.iteri
+        (fun i a ->
+          ignore (Online.Session.add session a);
+          if i = List.length arrivals - 1 || Rng.int_in rng 0 2 = 0 then
+            check_against_oracle
+              ~ctx:(Printf.sprintf "seed %d prefix %d" seed (i + 1))
+              ~m ~scale:100 (Online.Session.solve session) (Online.Session.arrivals session))
+        arrivals;
+      true)
+
+let test_batch_fifo_admission () =
+  (* m = 3 admits at most two jobs. At t = 0 job 0 (req 10) and job 1
+     (req 30) start and job 2 (req 40) is passed over; job 3 (req 20) is
+     released at t = 1, when one slot frees. Batch-FIFO offers job 2
+     first; a global smallest-req order would start job 3 at 1 and job 2
+     at 2. Expected values are the seed engine's (by submission position:
+     0, 0, 1, 2). *)
+  let arrivals =
+    [
+      { Online.release = 0; size = 10; req = 10 };
+      { Online.release = 0; size = 1; req = 30 };
+      { Online.release = 0; size = 1; req = 40 };
+      { Online.release = 1; size = 1; req = 20 };
+    ]
+  in
+  let r = Online.run ~m:3 ~scale:100 arrivals in
+  (* instance ids sort by req: 0 → job 0, 1 → job 3, 2 → job 1, 3 → job 2 *)
+  Alcotest.(check (array int)) "start times by id" [| 0; 2; 0; 1 |] r.Online.start_times;
+  Alcotest.(check int) "makespan" 10 r.Online.makespan;
+  check_against_oracle ~ctx:"batch-FIFO" ~m:3 ~scale:100 r arrivals
+
+let test_iterations_polynomial () =
+  (* The event-driven engine's iterations depend on n, not on the job
+     sizes: a from-scratch solve takes at most 4n + 4 of them even with
+     sizes up to 10^6 (the unit-step engine needed more than 10^6). *)
+  for seed = 1 to 40 do
+    let rng = Rng.create (seed * 313) in
+    let m = Rng.int_in rng 2 12 in
+    let n = Rng.int_in rng 1 60 in
+    let session = Online.Session.create ~m ~scale:1000 () in
+    for _ = 1 to n do
+      ignore
+        (Online.Session.add session
+           {
+             Online.release = Rng.int_in rng 0 2_000_000;
+             size = Rng.int_in rng 1 1_000_000;
+             req = Rng.int_in rng 1 1000;
+           })
+    done;
+    let r = Online.Session.solve session in
+    let st = Online.Session.stats session in
+    Alcotest.(check int) "one full solve" 1 st.Online.Session.full_solves;
+    if st.Online.Session.iterations > (4 * n) + 4 then
+      Alcotest.failf "seed %d: %d iterations for n = %d (makespan %d)" seed
+        st.Online.Session.iterations n r.Online.makespan
+  done
+
+let test_session_rewound_path () =
+  (* m = 3 runs two jobs at a time: four jobs released at 0 start at 0
+     and 4, finishing at 8. A job released at 5 cannot change anything
+     before the admissions at step 4, so the solve resumes from that
+     checkpoint: neither from 0 nor from the frontier. *)
+  let session = Online.Session.create ~m:3 ~scale:100 () in
+  let add release req =
+    match Online.Session.add session { Online.release; size = 4; req } with
+    | Ok _ -> ()
+    | Error r -> Alcotest.failf "reject: %s" (Online.Session.reject_message r)
+  in
+  List.iter (fun _ -> add 0 30) [ 1; 2; 3; 4 ];
+  Alcotest.(check int) "frontier" 8 (Online.Session.solve session).Online.makespan;
+  add 5 10;
+  let r = Online.Session.solve session in
+  let st = Online.Session.stats session in
+  Alcotest.(check int) "full solves" 1 st.Online.Session.full_solves;
+  Alcotest.(check int) "rewound solves" 1 st.Online.Session.rewound_solves;
+  Alcotest.(check int) "extended solves" 0 st.Online.Session.extended_solves;
+  check_same_result ~ctx:"rewound" r (Online.run ~m:3 ~scale:100 (Online.Session.arrivals session));
+  check_against_oracle ~ctx:"rewound" ~m:3 ~scale:100 r (Online.Session.arrivals session);
+  Alcotest.(check (option (pair int int)))
+    "committed" (Some (5, r.Online.makespan)) (Online.Session.committed session);
+  Alcotest.(check int) "start by position" 8 (Online.Session.start session 4)
+
+let qcheck_session_lower_bound =
+  (* Huge requirements make Σ p·r overflow; m = 1 is invalid. Either way
+     the session's O(1) bound must raise exactly what the list-based
+     [Online.lower_bound] raises. *)
+  Helpers.qcheck ~count:300 "Session.lower_bound equals Online.lower_bound"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = Rng.int_in rng 1 8 and scale = Rng.int_in rng 1 200 in
+      let session = Online.Session.create ~m ~scale () in
+      for _ = 1 to Rng.int_in rng 0 12 do
+        let req =
+          if Rng.int_in rng 0 5 = 0 then (max_int / 4) + Rng.int_in rng 0 1000
+          else Rng.int_in rng 1 300
+        in
+        ignore
+          (Online.Session.add session
+             { Online.release = Rng.int_in rng 0 50; size = Rng.int_in rng 1 20; req })
+      done;
+      let outcome f = match f () with lb -> Ok lb | exception e -> Error e in
+      let kept = outcome (fun () -> Online.Session.lower_bound session) in
+      let listed =
+        outcome (fun () -> Online.lower_bound ~m ~scale (Online.Session.arrivals session))
+      in
+      if kept <> listed then
+        QCheck.Test.fail_reportf "seed %d: session %s, list %s" seed
+          (match kept with Ok v -> string_of_int v | Error e -> Printexc.to_string e)
+          (match listed with Ok v -> string_of_int v | Error e -> Printexc.to_string e);
+      true)
+
+let test_session_lower_bound_overflow () =
+  let session = Online.Session.create ~m:4 ~scale:100 () in
+  ignore (Online.Session.add session { Online.release = 0; size = 3; req = max_int / 2 });
+  match Online.Session.lower_bound session with
+  | _ -> Alcotest.fail "overflowing Σ p·r must raise"
+  | exception Robust.Failure.Invalid (Robust.Failure.Overflow _) -> ()
+
 (* --- SVG --- *)
 
 let test_svg_well_formed () =
@@ -251,6 +401,13 @@ let suite =
       Alcotest.test_case "session solve paths" `Quick test_session_solve_paths;
       Alcotest.test_case "session budgets" `Quick test_session_budgets;
       Alcotest.test_case "session peek & dirty" `Quick test_session_peek_and_dirty;
+      qcheck_matches_oracle;
+      Alcotest.test_case "batch-FIFO admission order" `Quick test_batch_fifo_admission;
+      Alcotest.test_case "iterations polynomial in n" `Quick test_iterations_polynomial;
+      Alcotest.test_case "session rewound path" `Quick test_session_rewound_path;
+      qcheck_session_lower_bound;
+      Alcotest.test_case "session lower bound overflow" `Quick
+        test_session_lower_bound_overflow;
       Alcotest.test_case "svg well-formed" `Quick test_svg_well_formed;
       Alcotest.test_case "svg to file" `Quick test_svg_to_file;
     ] )
