@@ -21,13 +21,19 @@ let invalid_input reason =
     (Robust.Failure.invalid_to_string reason);
   2
 
-(* Load an instance through the strict validator (doc/ROBUSTNESS.md);
-   [window] additionally requires m >= 3, the Theorem 3.3 precondition. *)
-let load_instance ?(window = false) file k =
+(* Load an instance through the strict validator (doc/ROBUSTNESS.md); with
+   [solver], also check that entry's precondition (m >= 3 for the window
+   family, unit sizes for the unit-size solvers). *)
+let load_instance ?solver file k =
+  let window, admit =
+    match solver with
+    | Some (e : Baselines.Solver.t) -> (e.requires = Window, Baselines.Solver.admit e)
+    | None -> (false, Result.ok)
+  in
   match read_input file with
   | exception Sys_error msg -> invalid_input (Robust.Failure.Malformed msg)
   | text -> (
-      match Sos.Instance.of_string_checked ~window text with
+      match Result.bind (Sos.Instance.of_string_checked ~window text) admit with
       | Ok inst -> k inst
       | Error reason -> invalid_input reason)
 
@@ -101,39 +107,13 @@ let family_of_name name =
            (String.concat ", "
               (List.map (fun f -> f.Workload.Sos_gen.name) Workload.Sos_gen.all_families)))
 
-let algo_assoc =
-  [
-    ("window", `Window); ("listing1", `Listing1); ("unit", `Unit);
-    ("unit-np", `Unit_np);
-    ("list-sched", `List_sched); ("greedy", `Greedy);
-    ("naive-fracture", `Naive); ("no-move", `No_move); ("literal", `Literal);
-    ("preemptive", `Preemptive); ("fixed-assignment", `Fixed);
-  ]
-
-let algo_conv = Arg.enum algo_assoc
-let algo_name algo = fst (List.find (fun (_, a) -> a = algo) algo_assoc)
-
-(* Algorithms in the window family carry the Theorem 3.3 guarantee and its
-   m >= 3 precondition; the strict validator enforces it for these. *)
-let window_algo = function
-  | `Window | `Literal | `Listing1 | `Naive | `No_move -> true
-  | `Unit | `Unit_np | `List_sched | `Greedy | `Preemptive | `Fixed -> false
-
-(* One (preemptive?, schedule) dispatch for solve/analyze/batch; `-w trace`
-   in `export` keeps its own traced-run special case. *)
-let run_algo ?(check = false) algo inst =
-  match algo with
-  | `Window -> (false, Sos.Fast.run inst)
-  | `Listing1 -> (false, Sos.Listing1.run ~check inst)
-  | `Literal -> (false, Sos.Fast.run ~variant:`Literal inst)
-  | `Unit -> (true, Sos.Splittable.run inst)
-  | `Unit_np -> (false, Sos.Splittable.run_nonpreemptive inst)
-  | `List_sched -> (false, Baselines.List_scheduling.run inst)
-  | `Greedy -> (false, Baselines.Greedy_fair.run inst)
-  | `Naive -> (false, Sos.Ablation.run_naive_fracture inst)
-  | `No_move -> (false, Sos.Ablation.run_no_move inst)
-  | `Preemptive -> (true, Sos.Preemptive.run inst)
-  | `Fixed -> (false, Baselines.Fixed_assignment.run inst)
+(* -a NAME, resolved to its Baselines.Solver entry. The enum runs over the
+   names: cmdliner compares enum values, and entries hold functions. *)
+let algo_arg default =
+  let names = List.map (fun (e : Baselines.Solver.t) -> (e.name, e.name)) Baselines.Solver.all in
+  Term.(
+    const (fun name -> Option.get (Baselines.Solver.find name))
+    $ Arg.(value & opt (enum names) default & info [ "algo"; "a" ] ~doc:"Algorithm."))
 
 (* ------------------------------------------------------------------ gen *)
 
@@ -176,15 +156,15 @@ let gen_cmd =
 (* ---------------------------------------------------------------- solve *)
 
 let solve_cmd =
-  let run obs algo file gantt quiet =
+  let run obs (algo : Baselines.Solver.t) file gantt quiet =
     with_obs obs @@ fun () ->
-    load_instance ~window:(window_algo algo) file @@ fun inst ->
-    let preemptive, sched =
-      Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> run_algo ~check:true algo inst)
+    load_instance ~solver:algo file @@ fun inst ->
+    let sched =
+      Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> algo.run ~check:true inst)
     in
     (match
        Obs.Trace.with_span ~cat:"cli" "validate" (fun () ->
-           Sos.Schedule.validate ~preemption_ok:preemptive sched)
+           Sos.Schedule.validate ~preemption_ok:algo.preemptive sched)
      with
     | Ok () -> ()
     | Error v ->
@@ -205,14 +185,11 @@ let solve_cmd =
     if inst.Sos.Instance.m >= 3 then
       Printf.printf "Thm 3.3 bnd : %.4f\n"
         (Sos.Bounds.guarantee_general ~m:inst.Sos.Instance.m);
-    if (not quiet) && gantt && not preemptive then begin
+    if (not quiet) && gantt && not algo.preemptive then begin
       print_newline ();
       print_string (Sos.Schedule.render_gantt sched)
     end;
     0
-  in
-  let algo =
-    Arg.(value & opt algo_conv `Window & info [ "algo"; "a" ] ~doc:"Algorithm.")
   in
   let file =
     Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"Instance file or - for stdin.")
@@ -221,20 +198,20 @@ let solve_cmd =
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Summary only.") in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an SoS instance and validate the schedule.")
-    Term.(const run $ obs_flags $ algo $ file $ gantt $ quiet)
+    Term.(const run $ obs_flags $ algo_arg "window" $ file $ gantt $ quiet)
 
 (* -------------------------------------------------------------- analyze *)
 
 let analyze_cmd =
-  let run obs algo file =
+  let run obs (algo : Baselines.Solver.t) file =
     with_obs obs @@ fun () ->
-    load_instance ~window:(window_algo algo) file @@ fun inst ->
-    let preemptive, sched =
-      Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> run_algo algo inst)
+    load_instance ~solver:algo file @@ fun inst ->
+    let sched =
+      Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> algo.run ~check:false inst)
     in
     (match
        Obs.Trace.with_span ~cat:"cli" "validate" (fun () ->
-           Sos.Schedule.validate ~preemption_ok:preemptive sched)
+           Sos.Schedule.validate ~preemption_ok:algo.preemptive sched)
      with
     | Ok () -> ()
     | Error v ->
@@ -270,9 +247,6 @@ let analyze_cmd =
       /. float_of_int inst.Sos.Instance.scale);
     0
   in
-  let algo =
-    Arg.(value & opt algo_conv `Window & info [ "algo"; "a" ] ~doc:"Algorithm.")
-  in
   let file =
     Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"Instance file or - for stdin.")
   in
@@ -280,7 +254,7 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"Solve and report RLE-native analytics (strongly polynomial: safe for \
              huge processing volumes).")
-    Term.(const run $ obs_flags $ algo $ file)
+    Term.(const run $ obs_flags $ algo_arg "window" $ file)
 
 (* ---------------------------------------------------------------- ratio *)
 
@@ -406,7 +380,7 @@ let sas_cmd =
 (* --------------------------------------------------------------- export *)
 
 let export_cmd =
-  let run file what algo specs_bin =
+  let run file what (algo : Baselines.Solver.t) specs_bin =
     match specs_bin with
     | Some out ->
         (* Corpus converter, not an instance exporter: FILE is a text spec
@@ -426,35 +400,19 @@ let export_cmd =
               2
         end
     | None ->
-    load_instance file @@ fun inst ->
-    (match what with
-    | `Instance -> print_string (Sos.Export.instance_to_csv inst)
-    | `Schedule | `Schedule_rle | `Utilization | `Trace | `Svg -> begin
-        let sched, trace =
-          match algo with
-          (* Only -w trace needs the step-by-step traced reference run; the
-             CSV/SVG writers are RLE-native, so give them the fast solver's
-             compressed schedule and stay strongly polynomial. *)
-          | `Window when what <> `Trace -> (Sos.Fast.run inst, [])
-          | `Listing1 | `Window | `Literal -> Sos.Listing1.run_traced inst
-          | `Unit -> (Sos.Splittable.run inst, [])
-          | `Unit_np -> (Sos.Splittable.run_nonpreemptive inst, [])
-          | `List_sched -> (Baselines.List_scheduling.run inst, [])
-          | `Greedy -> (Baselines.Greedy_fair.run inst, [])
-          | `Naive -> (Sos.Ablation.run_naive_fracture inst, [])
-          | `No_move -> (Sos.Ablation.run_no_move inst, [])
-          | `Preemptive -> (Sos.Preemptive.run inst, [])
-          | `Fixed -> (Baselines.Fixed_assignment.run inst, [])
-        in
-        match what with
-        | `Schedule -> print_string (Sos.Export.schedule_to_csv sched)
-        | `Schedule_rle -> print_string (Sos.Export.schedule_to_csv_rle sched)
-        | `Utilization -> print_string (Sos.Export.utilization_to_csv sched)
-        | `Trace -> print_string (Sos.Export.trace_to_csv trace inst)
-        | `Svg -> print_string (Sos.Svg.render ~title:"sosctl schedule" sched)
-        | `Instance -> assert false
-      end);
-    0
+        (* -w instance solves nothing, so it skips the solver's precondition *)
+        let solver = if what = `Instance then None else Some algo in
+        load_instance ?solver file @@ fun inst ->
+        let sched () = algo.run ~check:false inst in
+        print_string
+          (match what with
+          | `Instance -> Sos.Export.instance_to_csv inst
+          | `Trace -> Sos.Export.trace_to_csv (algo.trace inst) inst
+          | `Schedule -> Sos.Export.schedule_to_csv (sched ())
+          | `Schedule_rle -> Sos.Export.schedule_to_csv_rle (sched ())
+          | `Utilization -> Sos.Export.utilization_to_csv (sched ())
+          | `Svg -> Sos.Svg.render ~title:"sosctl schedule" (sched ()));
+        0
   in
   let what =
     Arg.(
@@ -469,7 +427,6 @@ let export_cmd =
           `Schedule
       & info [ "what"; "w" ] ~doc:"What to export (CSV, or an SVG Gantt chart).")
   in
-  let algo = Arg.(value & opt algo_conv `Listing1 & info [ "algo"; "a" ]) in
   let file = Arg.(value & pos 0 string "-" & info [] ~docv:"FILE") in
   let specs_bin =
     Arg.(
@@ -486,7 +443,7 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Export instances, schedules, traces as CSV; compile spec corpora to binary.")
-    Term.(const run $ file $ what $ algo $ specs_bin)
+    Term.(const run $ file $ what $ algo_arg "listing1" $ specs_bin)
 
 (* ---------------------------------------------------------------- batch *)
 
@@ -647,9 +604,9 @@ module Summary = struct
 end
 
 let batch_cmd =
-  let run obs file jobs seed out_dir algo retries task_timeout backoff_base checkpoint
-      resume verbose_errors chaos chaos_seed stream_mode summary shards sync_every chunk
-      win_opt progress =
+  let run obs file jobs seed out_dir (algo : Baselines.Solver.t) retries task_timeout
+      backoff_base checkpoint resume verbose_errors chaos chaos_seed stream_mode summary shards
+      sync_every chunk win_opt progress =
     with_obs obs @@ fun () ->
     try
       if jobs < 1 then raise (Usage "-j must be >= 1");
@@ -700,7 +657,7 @@ let batch_cmd =
       (match out_dir with
       | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
       | _ -> ());
-      let window = window_algo algo in
+      let window = algo.requires = Window in
       let open_source () =
         match file with
         | "-" -> (
@@ -745,9 +702,12 @@ let batch_cmd =
               | Error reason -> raise (Invalid reason));
               (family.Workload.Sos_gen.name, inst)
         in
+        (match Baselines.Solver.admit algo inst with
+        | Ok _ -> ()
+        | Error reason -> raise (Invalid reason));
         Obs.Trace.flow_step ~id:idx "spec";
-        let preemptive, sched = run_algo algo inst in
-        (match Sos.Schedule.validate ~preemption_ok:preemptive sched with
+        let sched = algo.run ~check:false inst in
+        (match Sos.Schedule.validate ~preemption_ok:algo.preemptive sched with
         | Ok () -> ()
         | Error v ->
             Robust.Failure.internal_error "invalid schedule at step %d: %s"
@@ -760,7 +720,7 @@ let batch_cmd =
          record digest (Workload.Specs), identical for a text corpus and
          its binary conversion. *)
       let header_of digest =
-        Printf.sprintf "sosj1 seed=%d algo=%s specs=%s" seed (algo_name algo) digest
+        Printf.sprintf "sosj1 seed=%d algo=%s specs=%s" seed algo.name digest
       in
       let open_journal header =
         match checkpoint with
@@ -1047,7 +1007,6 @@ let batch_cmd =
           ~doc:"Also write each schedule as RLE CSV to $(docv)/batch-NNNN.csv."
           ~docv:"DIR")
   in
-  let algo = Arg.(value & opt algo_conv `Window & info [ "algo"; "a" ] ~doc:"Algorithm.") in
   let retries =
     Arg.(
       value & opt int 0
@@ -1212,7 +1171,7 @@ let batch_cmd =
           structured error lines; --stream for constant-memory million-spec \
           corpora).")
     Term.(
-      const run $ obs_flags $ file $ jobs $ seed $ out_dir $ algo $ retries
+      const run $ obs_flags $ file $ jobs $ seed $ out_dir $ algo_arg "window" $ retries
       $ task_timeout $ backoff_base $ checkpoint $ resume $ verbose_errors $ chaos
       $ chaos_seed $ stream_mode $ summary $ shards $ sync_every $ chunk $ win_opt
       $ progress)

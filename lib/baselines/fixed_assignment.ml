@@ -60,6 +60,7 @@ let run ?(strategy = Round_robin) inst =
     Array.to_list queues |> List.filter_map (function j :: _ -> Some j | [] -> None)
   in
   let rec pop_finished () =
+    Robust.Context.poll ();
     Array.iteri
       (fun p q -> match q with j :: rest when s.(j) = 0 -> queues.(p) <- rest | _ -> ())
       queues;
@@ -67,6 +68,7 @@ let run ?(strategy = Round_robin) inst =
       pop_finished ()
   in
   while heads () <> [] do
+    Robust.Context.poll ();
     decr fuel;
     if !fuel < 0 then Robust.Failure.internal_error "Fixed_assignment.run: no progress";
     let shares = water_fill inst s budget (heads ()) in

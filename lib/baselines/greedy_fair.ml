@@ -26,6 +26,7 @@ let run inst =
   let slots = min m scale in
   let admit () =
     while !next < n && List.length !running < slots do
+      Robust.Context.poll ();
       let job = Instance.job inst !next in
       running := { job = !next; req = min job.Job.req scale; remaining = Job.s job } :: !running;
       incr next
@@ -33,6 +34,7 @@ let run inst =
   in
   admit ();
   while !running <> [] do
+    Robust.Context.poll ();
     let shares = water_fill scale !running in
     (* The allocation is constant until the next completion: jump there. *)
     let k =

@@ -43,6 +43,7 @@ let run ?(order = By_requirement) inst =
     let rec scan i skipped =
       if i >= n then List.rev skipped
       else begin
+        Robust.Context.poll ();
         let j = ids.(i) in
         let job = Instance.job inst j in
         let hold = min job.Job.req scale in
@@ -79,6 +80,7 @@ let run ?(order = By_requirement) inst =
   in
   try_start ();
   while !running <> [] do
+    Robust.Context.poll ();
     let k = List.fold_left (fun acc r -> min acc r.steps_left) max_int !running in
     (* Jump to just before the next completion, then take the finishing
        step on its own so under-consumption only happens there. *)

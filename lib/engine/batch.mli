@@ -65,20 +65,6 @@ val map_pool :
 (** [map] on an existing pool (reusable across batches — a failed task
     leaves the pool fully usable). *)
 
-val stream :
-  Pool.t ->
-  ?chunk:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
-  ?cancel:Robust.Cancel.t ->
-  ?backoff:Robust.Backoff.policy ->
-  (unit -> 'a) array ->
-  f:(int -> 'a outcome -> unit) ->
-  unit
-(** [stream pool tasks ~f] calls [f i outcome_i] on the calling thread in
-    increasing index order, as each prefix of the batch completes — early
-    results are consumed while later tasks are still running. *)
-
 val stream_seq :
   Pool.t ->
   ?chunk:int ->
@@ -104,20 +90,3 @@ val stream_seq :
     {!Prelude.Rng.create2}/[create3]) makes the emitted sequence
     byte-identical at any domain count, and [?retries]/[?task_timeout]/
     [?cancel] behave exactly as in {!map}. *)
-
-val map_reduce :
-  ?domains:int ->
-  ?chunk:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
-  ?cancel:Robust.Cancel.t ->
-  ?backoff:Robust.Backoff.policy ->
-  reduce:('acc -> 'a -> 'acc) ->
-  init:'acc ->
-  (unit -> 'a) array ->
-  ('acc, error) result
-(** Parallel map folded on the streaming path — the accumulator is
-    threaded through ordered emission, so memory stays O(window) instead
-    of one materialized outcome array. The fold order is submission order
-    (so the reduction is deterministic even when [reduce] is not
-    commutative), and the first failing task's [Error] is returned. *)

@@ -2,6 +2,7 @@ type invalid =
   | Nonpositive_req of { job : int; req : int }
   | Nonpositive_size of { job : int; size : int }
   | Too_few_processors of { m : int; need : int }
+  | Non_unit_size of { job : int; size : int }
   | Bad_scale of int
   | Not_finite of { job : int; value : float }
   | Overflow of string
@@ -31,6 +32,9 @@ let invalid_to_string = function
       Printf.sprintf "need m >= %d processors%s (got m = %d)" need
         (if need >= 3 then " for the window algorithm (Theorem 3.3)" else "")
         m
+  | Non_unit_size { job; size } ->
+      Printf.sprintf "job %d: processing time must be 1 for a unit-size algorithm (got %d)" job
+        size
   | Bad_scale scale -> Printf.sprintf "resource scale must be >= 1 (got %d)" scale
   | Not_finite { job; value } ->
       Printf.sprintf "job %d: resource share must be finite (got %h)" job value

@@ -30,6 +30,9 @@ type invalid =
   | Too_few_processors of { m : int; need : int }
       (** [m < need]: [need = 2] structurally, [need = 3] when the window
           algorithm's Theorem 3.3 guarantee is required. *)
+  | Non_unit_size of { job : int; size : int }
+      (** [p_j <> 1] given to an algorithm defined for unit-size jobs
+          only. *)
   | Bad_scale of int  (** resource resolution [scale < 1]. *)
   | Not_finite of { job : int; value : float }
       (** NaN or infinite resource share in a float spec. *)

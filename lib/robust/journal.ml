@@ -25,28 +25,6 @@ let header_mismatch path got expected =
     "checkpoint %s was written by a different run configuration (header %S, expected %S)" path
     got expected
 
-(* Stream [f] over the entry lines (everything after the header), one line
-   at a time — a journal is loaded in O(longest line) memory no matter how
-   many entries it holds. *)
-let fold_entries ~path ~header ~init ~f =
-  if not (Sys.file_exists path) then Ok init
-  else
-    In_channel.with_open_text path (fun ic ->
-        match In_channel.input_line ic with
-        | None -> Ok init (* empty file: nothing recorded yet *)
-        | Some got when not (String.equal got header) -> Error (header_mismatch path got header)
-        | Some _ ->
-            let rec go acc =
-              match In_channel.input_line ic with
-              | None -> Ok acc
-              | Some line -> (
-                  match parse_entry line with Some e -> go (f acc e) | None -> go acc)
-            in
-            go init)
-
-let load ~path ~header =
-  Result.map List.rev (fold_entries ~path ~header ~init:[] ~f:(fun acc e -> e :: acc))
-
 let create ~path ~header =
   let oc = Out_channel.open_text path in
   Out_channel.output_string oc (header ^ "\n");
@@ -94,10 +72,6 @@ let output_entry oc ~index ~payload =
       "R6: caller-side framing contract (suite_robust pins it); a taxonomy failure here would \
        be journalled into the very file whose framing the check protects"];
   Out_channel.output_string oc (Printf.sprintf "%d %s %s\n" index (digest payload) payload)
-
-let append oc ~index ~payload =
-  output_entry oc ~index ~payload;
-  Out_channel.flush oc
 
 module Sharded = struct
   (* Journal latency distributions (runtime class, PR 8): how long one

@@ -1,4 +1,4 @@
-(** Append-only checkpoint journal for batch runs.
+(** Append-only checkpoint journal for batch runs and the serve WAL.
 
     A journal records, per completed task, its submission index and the
     exact output payload the run emitted for it, so a killed run can be
@@ -11,53 +11,25 @@
       <index> <md5-of-payload> <payload>
       ...
     ]}
-    The header binds the journal to one run configuration; {!load} refuses
-    a journal whose header differs (resuming under a different seed,
-    algorithm, or spec list would silently mix outputs). Each entry line is
-    flushed when appended, and {!load} drops any entry whose digest does
-    not match its payload — a process killed mid-append leaves at most one
-    torn trailing line, which is simply re-run on resume. Payloads must be
-    newline-free (enforced by {!append}).
+    The header binds the journal to one run configuration; {!Sharded.resume}
+    refuses a journal whose header differs (resuming under a different
+    seed, algorithm, or spec list would silently mix outputs). Resume drops
+    any entry whose digest does not match its payload — a process killed
+    mid-append leaves at most one torn trailing line, which is simply re-run.
+    Payloads must be newline-free (enforced by {!Sharded.append}).
 
-    All reads stream line-by-line: loading or resuming a journal costs
-    O(longest line) memory, never O(file). For streaming resume over very
-    large batches, use {!Sharded}. *)
-
-type entry = { index : int; payload : string }
+    All reads stream line-by-line: resuming a journal costs O(longest line)
+    memory, never O(file). *)
 
 val digest : string -> string
 (** MD5 hex of a string (also used by callers to fingerprint the spec list
     into the header). *)
 
-val load : path:string -> header:string -> (entry list, string) result
-(** Entries in file order ([Ok []] if the file does not exist). [Error] if
-    the file exists but its header line differs from [header]. Torn or
-    corrupt entry lines are skipped silently. *)
-
-val fold_entries :
-  path:string -> header:string -> init:'a -> f:('a -> entry -> 'a) -> ('a, string) result
-(** Stream-fold over the valid entries without materializing them —
-    {!load} in O(1) memory. Same missing-file / header semantics. *)
-
-val create : path:string -> header:string -> Out_channel.t
-(** Truncate/create the journal, write the header, flush, and return the
-    channel for {!append}. *)
-
-val reopen : path:string -> Out_channel.t
-(** Open an existing journal for appending (after {!load}). A torn final
-    line left by a kill mid-append is truncated away first (found by a
-    chunked O(1)-memory scan), so the next {!append} starts on a fresh
-    line. *)
-
-val append : Out_channel.t -> index:int -> payload:string -> unit
-(** Append one entry and flush. Raises [Invalid_argument] if [payload]
-    contains a newline. *)
-
 (** Sharded journal for streaming batches (`sosctl batch --stream`).
 
     The journal is split over [shards] files — entry [index] lands in
     shard [index mod shards], file [PATH.k] (or [PATH] itself when
-    [shards = 1], byte-compatible with the single-file format above).
+    [shards = 1], in exactly the format above).
     Every shard carries the same configuration-binding header, suffixed
     with [" shard=k/N"] when [N > 1] so a journal can never be resumed
     under a different shard count.
@@ -117,7 +89,7 @@ module Sharded : sig
   val append : t -> index:int -> payload:string -> unit
   (** Journal one fresh entry into shard [index mod shards], flushing per
       the [sync_every] policy. Raises [Invalid_argument] on newline
-      payloads, as {!append}. *)
+      payloads. *)
 
   val flush : t -> unit
   (** Force out any appends still buffered behind [sync_every]. *)

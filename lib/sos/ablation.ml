@@ -1,30 +1,5 @@
 let run_literal_grow_left inst = Fast.run ~variant:`Literal inst
 
-let generic_run inst ~window_of ~assign =
-  let st = State.create inst in
-  let steps = ref [] in
-  let carried = ref Window.empty in
-  let fuel = ref (Instance.total_requirement inst + 1) in
-  while not (State.all_finished st) do
-    decr fuel;
-    if !fuel < 0 then Robust.Failure.internal_error "Ablation: no progress";
-    let w = window_of st !carried in
-    let allocs, w' = assign st w in
-    let finished =
-      List.filter_map
-        (fun (a : Schedule.alloc) ->
-          State.consume st a.job a.consumed;
-          if State.finished st a.job then Some a.job else None)
-        allocs
-    in
-    steps := { Schedule.allocs; repeat = 1 } :: !steps;
-    let survivors = Window.prune st w' in
-    List.iter (State.unlink st) finished;
-    carried := survivors;
-    State.tick st
-  done;
-  Schedule.make inst (List.rev !steps)
-
 let naive_assign st w ~budget =
   let ms = Window.members st w in
   let mx = match Window.last w with Some j -> j | None -> assert false in
@@ -46,7 +21,7 @@ let naive_assign st w ~budget =
 
 let run_naive_fracture inst =
   let size = inst.Instance.m - 1 and budget = inst.Instance.scale in
-  generic_run inst
+  Listing1.loop inst
     ~window_of:(fun st w -> Window.compute st w ~size ~budget)
     ~assign:(fun st w -> naive_assign st w ~budget)
 
@@ -59,6 +34,6 @@ let run_no_move inst =
   (* extra:false — the soundness of starting an extra job on the m-th
      processor (single-fracture invariant) rests on MoveWindowRight, which
      this ablation removes. *)
-  generic_run inst ~window_of ~assign:(fun st w ->
+  Listing1.loop inst ~window_of ~assign:(fun st w ->
       let outcome = Assign.compute st w ~budget ~extra:false in
       (outcome.Assign.allocs, outcome.Assign.window))

@@ -8,7 +8,10 @@
       paper warns that up to m−1 fractured jobs can then coexist, each
       pinning a processor while consuming almost no resource;
     - {!run_no_move} — drops MoveWindowRight, so windows stick to the left
-      border and never slide toward resource-hungry jobs. *)
+      border and never slide toward resource-hungry jobs.
+
+    The last two run through Listing 1's own step loop ({!Listing1.loop})
+    with one argument swapped. *)
 
 val run_literal_grow_left : Instance.t -> Schedule.t
 (** Alias for [Fast.run ~variant:`Literal]. *)

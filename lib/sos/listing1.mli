@@ -32,3 +32,15 @@ val run_traced :
   Schedule.t * step_info list
 (** Like {!run}, also returning the per-step trace (figure experiments F1,
     F2 and the tests of Lemma 3.8 consume it). *)
+
+val loop :
+  ?observe:(State.t -> Window.t -> int list -> unit) ->
+  Instance.t ->
+  window_of:(State.t -> Window.t -> Window.t) ->
+  assign:(State.t -> Window.t -> Schedule.alloc list * Window.t) ->
+  Schedule.t
+(** The step loop behind {!run}, one iteration per time step and one
+    {!Robust.Context.poll} per iteration: [window_of st carried] computes
+    the step's window (lines 3–5), [assign st w] its allocations and the
+    window to carry on (lines 6–20); [observe] sees the state, that window
+    and the finished jobs before they are unlinked. {!Ablation} reuses it. *)

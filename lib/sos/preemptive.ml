@@ -9,6 +9,7 @@ let run ?(fuel = 2_000_000) inst =
   let steps = ref [] in
   let fuel = ref fuel in
   while !alive <> [] do
+    Robust.Context.poll ();
     decr fuel;
     if !fuel < 0 then Robust.Failure.internal_error "Preemptive.run: fuel exhausted";
     (* Jobs by descending remaining step count (ties: larger requirement

@@ -83,6 +83,7 @@ let pack items ~size ~budget =
     match items with
     | [] -> List.rev acc
     | _ ->
+        Robust.Context.poll ();
         let allocs, rest = step items ~size ~budget in
         if allocs = [] then invalid_arg "Splittable.pack: no progress possible";
         go (allocs :: acc) rest
@@ -148,6 +149,7 @@ let run_nonpreemptive inst =
     match items with
     | [] -> ()
     | _ ->
+        Robust.Context.poll ();
         let skipped, window, rest =
           match pinned with
           | Some pid -> select_pinned items ~size ~budget ~pid

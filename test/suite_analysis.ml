@@ -101,6 +101,24 @@ let test_pass_allow pass (files, functions, edges) () =
     out;
   Alcotest.(check int) (pass ^ " allow exit") 0 code
 
+(* A closure passed inline to a function runs inside that function's loop:
+   it is covered when the loop polls, and flagged with it when it does not. *)
+let test_a2_callback () =
+  let code, out = graph_root "a2_callback" in
+  Alcotest.(check string) "covered by the callee's polling loop"
+    (summary_line ~files:1 ~functions:3 ~edges:3 ~violations:0 ~suppressed:0 ~sites:0)
+    out;
+  Alcotest.(check int) "clean exit" 0 code;
+  let code, out = graph_root "a2_callback_bad" in
+  Alcotest.(check string) "flagged under a loop that does not poll"
+    ("lib/sos/fast.ml:3 A2 while loop in Sos.Fast.drive (reachable from Sos.Fast.run) never \
+      reaches Robust.Context.poll/Chaos.point \xe2\x80\x94 un-cancellable\n\
+      lib/sos/fast.ml:4 A2 rec loop in Sos.Fast.walk (reachable from Sos.Fast.run) never \
+      reaches Robust.Context.poll/Chaos.point \xe2\x80\x94 un-cancellable\n"
+    ^ summary_line ~files:1 ~functions:3 ~edges:2 ~violations:2 ~suppressed:0 ~sites:0)
+    out;
+  Alcotest.(check int) "violating exit" 1 code
+
 (* --------------------------------------------------- cross-cutting *)
 
 let test_deterministic_output () =
@@ -209,6 +227,7 @@ let suite =
   ( "analysis",
     per_pass
     @ [
+        Alcotest.test_case "A2 closures passed to a polling loop" `Quick test_a2_callback;
         Alcotest.test_case "output byte-identical across runs" `Quick test_deterministic_output;
         Alcotest.test_case "json report" `Quick test_json_report;
         Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;

@@ -70,6 +70,21 @@ let test_eps_pairs_golden () =
   Alcotest.(check int) "window hits LB" 60 (List.assoc "window" ms);
   Alcotest.(check int) "naive wastes half" 90 (List.assoc "naive" ms)
 
+(* run_no_move goes through Listing 1's shared step loop with its own
+   window rule; pinning it on every entry guards that loop. *)
+let test_no_move_golden () =
+  List.iter
+    (fun (name, expected) ->
+      match Corpus.find name with
+      | Some entry ->
+          Alcotest.(check int) name expected
+            (Ablation.run_no_move entry.Corpus.instance).Schedule.makespan
+      | None -> Alcotest.failf "missing corpus entry %s" name)
+    [
+      ("lemma-3.7-stall", 99); ("footnote-1", 14); ("three-tight", 5);
+      ("reduction-yes-q2", 3); ("giant-dust", 93); ("eps-pairs", 70);
+    ]
+
 let test_corpus_lookup () =
   Alcotest.(check bool) "find existing" true (Corpus.find "giant-dust" <> None);
   Alcotest.(check bool) "find missing" true (Corpus.find "nope" = None);
@@ -93,6 +108,7 @@ let suite =
       Alcotest.test_case "golden: three-tight" `Quick test_three_tight_golden;
       Alcotest.test_case "golden: giant-dust" `Quick test_giant_dust_golden;
       Alcotest.test_case "golden: eps-pairs" `Quick test_eps_pairs_golden;
+      Alcotest.test_case "golden: no-move on every entry" `Quick test_no_move_golden;
       Alcotest.test_case "lookup" `Quick test_corpus_lookup;
       Alcotest.test_case "determinism" `Quick test_determinism;
     ] )

@@ -74,35 +74,49 @@ let test_error_capture_and_reuse () =
         (fun i r -> Alcotest.(check bool) "reused pool result" true (r = Ok (i * i)))
         again)
 
-let test_map_reduce () =
-  let tasks = Array.init 100 (fun i () -> i) in
-  (match Batch.map_reduce ~domains:3 ~reduce:( + ) ~init:0 tasks with
-  | Ok sum -> Alcotest.(check int) "sum 0..99" 4950 sum
-  | Error _ -> Alcotest.fail "unexpected error");
-  (* Non-commutative reduce: submission order is the fold order. *)
-  (match
-     Batch.map_reduce ~domains:4 ~reduce:(fun acc v -> acc ^ v) ~init:""
-       (Array.init 26 (fun i () -> String.make 1 (Char.chr (Char.code 'a' + i))))
-   with
-  | Ok s -> Alcotest.(check string) "ordered concat" "abcdefghijklmnopqrstuvwxyz" s
-  | Error _ -> Alcotest.fail "unexpected error");
-  match
-    Batch.map_reduce ~domains:2 ~reduce:( + ) ~init:0
-      [| (fun () -> 1); (fun () -> failwith "nope"); (fun () -> 2) |]
-  with
-  | Ok _ -> Alcotest.fail "expected the raising task's error"
-  | Error e -> Alcotest.(check int) "first error index" 1 e.Batch.index
+(* A stream over a fixed task array, as a materializing caller would run
+   it: window = n, so workers are never throttled by the consumer. *)
+let stream_array pool tasks ~f =
+  let n = Array.length tasks in
+  Batch.stream_seq pool ~window:(max n 1) (fun i -> if i < n then Some tasks.(i) else None) ~f
+
+let test_stream_fold () =
+  (* Folding in the emit callback: submission order is the fold order, so
+     a non-commutative reduce is deterministic, and the first failing
+     task's error is captured for its own index. *)
+  Pool.with_pool ~domains:4 (fun pool ->
+      let acc = ref "" in
+      ignore
+        (stream_array pool
+           (Array.init 26 (fun i () -> String.make 1 (Char.chr (Char.code 'a' + i))))
+           ~f:(fun _ r -> match r with Ok v -> acc := !acc ^ v | Error _ -> ()));
+      Alcotest.(check string) "ordered concat" "abcdefghijklmnopqrstuvwxyz" !acc);
+  Pool.with_pool ~domains:2 (fun pool ->
+      let first_error = ref None and sum = ref 0 in
+      ignore
+        (stream_array pool
+           [|
+             (fun () -> 1); (fun () -> failwith "nope"); (fun () -> 2);
+             (fun () -> failwith "late");
+           |]
+           ~f:(fun _ r ->
+             match r with
+             | Ok v -> sum := !sum + v
+             | Error e -> if !first_error = None then first_error := Some e.Batch.index));
+      Alcotest.(check (option int)) "first error index" (Some 1) !first_error;
+      Alcotest.(check int) "other tasks still ran" 3 !sum)
 
 let test_stream_ordered () =
   Pool.with_pool ~domains:4 (fun pool ->
       let emitted = ref [] in
-      Batch.stream pool
-        (Array.init 50 (fun i () -> 2 * i))
-        ~f:(fun i r ->
-          (match r with
-          | Ok v -> Alcotest.(check int) "stream value" (2 * i) v
-          | Error _ -> Alcotest.fail "unexpected error");
-          emitted := i :: !emitted);
+      ignore
+        (stream_array pool
+           (Array.init 50 (fun i () -> 2 * i))
+           ~f:(fun i r ->
+             (match r with
+             | Ok v -> Alcotest.(check int) "stream value" (2 * i) v
+             | Error _ -> Alcotest.fail "unexpected error");
+             emitted := i :: !emitted));
       Alcotest.(check (list int)) "emitted in submission order"
         (List.init 50 (fun i -> i))
         (List.rev !emitted))
@@ -319,7 +333,7 @@ let suite =
     [
       test_batch_deterministic;
       Alcotest.test_case "error capture leaves pool usable" `Quick test_error_capture_and_reuse;
-      Alcotest.test_case "map_reduce ordered fold" `Quick test_map_reduce;
+      Alcotest.test_case "stream_seq ordered fold + first error" `Quick test_stream_fold;
       Alcotest.test_case "stream emits in order" `Quick test_stream_ordered;
       test_stream_seq_matches_map;
       Alcotest.test_case "stream_seq window bound + ordering" `Quick test_stream_seq_window_bound;

@@ -173,61 +173,69 @@ let with_temp_journal f =
   let path = Filename.temp_file "sosj" ".journal" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+(* A one-shard journal lives at PATH itself, in the plain single-file
+   format: the header line, then "<index> <md5> <payload>" per entry. *)
+module Sharded = Robust.Journal.Sharded
+
 let test_journal_roundtrip () =
   with_temp_journal @@ fun path ->
   let header = "sosj1 seed=7 algo=window specs=abc" in
-  let oc = Robust.Journal.create ~path ~header in
-  Robust.Journal.append oc ~index:0 ~payload:"0 ok bimodal makespan=12";
-  Robust.Journal.append oc ~index:2 ~payload:"2 error task-exn line 3: boom";
-  Out_channel.close oc;
-  (match Robust.Journal.load ~path ~header with
-  | Ok [ a; b ] ->
-      Alcotest.(check int) "first index" 0 a.Robust.Journal.index;
-      Alcotest.(check string) "first payload" "0 ok bimodal makespan=12" a.payload;
-      Alcotest.(check int) "second index" 2 b.index
-  | Ok l -> Alcotest.failf "expected 2 entries, got %d" (List.length l)
-  | Error msg -> Alcotest.fail msg);
-  (* A different header (other seed/algo/specs) must be refused. *)
-  (match Robust.Journal.load ~path ~header:"sosj1 seed=8 algo=window specs=abc" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "header mismatch accepted");
+  let j = Sharded.start ~path ~shards:1 ~header () in
+  Sharded.append j ~index:0 ~payload:"0 ok bimodal makespan=12";
+  Sharded.append j ~index:2 ~payload:"2 error task-exn line 3: boom";
   (* Newlines in payloads would corrupt the line format. *)
-  let oc = Robust.Journal.reopen ~path in
-  (match Robust.Journal.append oc ~index:3 ~payload:"a\nb" with
+  (match Sharded.append j ~index:3 ~payload:"a\nb" with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "newline payload accepted");
-  Out_channel.close oc
+  Sharded.close j;
+  let line i p = Printf.sprintf "%d %s %s\n" i (Robust.Journal.digest p) p in
+  Alcotest.(check string) "file format"
+    (header ^ "\n" ^ line 0 "0 ok bimodal makespan=12"
+    ^ line 2 "2 error task-exn line 3: boom")
+    (In_channel.with_open_text path In_channel.input_all);
+  (match Sharded.resume ~path ~shards:1 ~header () with
+  | Ok j ->
+      Alcotest.(check int) "entries" 2 (Sharded.completed j);
+      Alcotest.(check (list bool)) "indices" [ true; false; true ]
+        (List.map (Sharded.mem j) [ 0; 1; 2 ]);
+      Alcotest.(check (option string)) "first payload" (Some "0 ok bimodal makespan=12")
+        (Sharded.replay j 0);
+      Sharded.close j
+  | Error msg -> Alcotest.fail msg);
+  (* A different header (other seed/algo/specs) must be refused. *)
+  match Sharded.resume ~path ~shards:1 ~header:"sosj1 seed=8 algo=window specs=abc" () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "header mismatch accepted"
 
 let test_journal_torn_line () =
   with_temp_journal @@ fun path ->
   let header = "sosj1 seed=1 algo=window specs=x" in
-  let oc = Robust.Journal.create ~path ~header in
-  Robust.Journal.append oc ~index:0 ~payload:"first";
-  Robust.Journal.append oc ~index:1 ~payload:"second";
-  Out_channel.close oc;
+  let j = Sharded.start ~path ~shards:1 ~header () in
+  Sharded.append j ~index:0 ~payload:"first";
+  Sharded.append j ~index:1 ~payload:"second";
+  Sharded.close j;
   (* Simulate a SIGKILL mid-append: a trailing half-entry with no
      newline and a wrong digest. *)
   let oc = Out_channel.open_gen [ Open_append; Open_text ] 0o644 path in
   Out_channel.output_string oc "2 0123456789abcdef t";
   Out_channel.close oc;
-  (match Robust.Journal.load ~path ~header with
-  | Ok entries ->
-      Alcotest.(check (list int)) "torn line skipped" [ 0; 1 ]
-        (List.map (fun (e : Robust.Journal.entry) -> e.index) entries)
+  (match Sharded.resume ~path ~shards:1 ~header () with
+  | Ok j ->
+      Alcotest.(check (list bool)) "torn line skipped" [ true; true; false ]
+        (List.map (Sharded.mem j) [ 0; 1; 2 ]);
+      (* the torn tail is gone, so the next append lands on a clean line *)
+      Sharded.append j ~index:2 ~payload:"third";
+      Sharded.close j
   | Error msg -> Alcotest.fail msg);
-  (* reopen truncates the torn tail, so the next append lands clean. *)
-  let oc = Robust.Journal.reopen ~path in
-  Robust.Journal.append oc ~index:2 ~payload:"third";
-  Out_channel.close oc;
-  match Robust.Journal.load ~path ~header with
-  | Ok entries ->
-      Alcotest.(check (list int)) "appended after torn tail" [ 0; 1; 2 ]
-        (List.map (fun (e : Robust.Journal.entry) -> e.index) entries)
+  match Sharded.resume ~path ~shards:1 ~header () with
+  | Ok j ->
+      Alcotest.(check (list (option string))) "appended after torn tail"
+        [ Some "first"; Some "second"; Some "third" ]
+        (List.map (Sharded.replay j) [ 0; 1; 2 ]);
+      Sharded.close j
   | Error msg -> Alcotest.fail msg
 
 (* ------------------------------------------------------ sharded journal *)
-
-module Sharded = Robust.Journal.Sharded
 
 let with_temp_sharded shards f =
   let base = Filename.temp_file "sosjsh" ".journal" in

@@ -9,6 +9,7 @@ let () =
       Suite_exact.suite;
       Suite_sas.suite;
       Suite_baselines.suite;
+      Suite_solver.suite;
       Suite_workload.suite;
       Suite_specs.suite;
       Suite_schedule.suite;

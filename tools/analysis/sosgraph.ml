@@ -64,9 +64,16 @@ let solver_entry id =
   | [ ("Sos" | "Sas"); _; "run" ] -> true
   | _ -> false
 
+(* Every solver sosctl can run is an entry of the Baselines.Solver table,
+   whose bindings reference each solver's run function: rooting at the
+   module covers the whole table. Sas.Combined.run is the one solver
+   outside it (the SAS problem of Section 4). *)
+let solver_root id = starts_with ~prefix:"Baselines.Solver." id || id = "Sas.Combined.run"
+
 (* A2 roots: the run loops whose cancellability the service story needs. *)
 let a2_root id =
-  id = "Sos.Fast.run" || id = "Sas.Combined.run"
+  solver_root id
+  || id = "Sos.Fast.run"
   || starts_with ~prefix:"Engine.Pool." id
   || starts_with ~prefix:"Engine.Batch." id
   || starts_with ~prefix:"Serve.Server." id
@@ -75,11 +82,10 @@ let a2_root id =
    machinery itself plus everything a batch task closure calls (solver
    entries and the incremental session layer). *)
 let a3_root id =
-  starts_with ~prefix:"Engine.Pool." id
+  solver_root id
+  || starts_with ~prefix:"Engine.Pool." id
   || starts_with ~prefix:"Engine.Batch." id
   || starts_with ~prefix:"Sos.Online." id
-  || id = "Sos.Fast.run" || id = "Sos.Listing1.run" || id = "Sos.Preemptive.run"
-  || id = "Sos.Ablation.run" || id = "Sas.Combined.run"
 
 (* A4: the Robust.Failure taxonomy carriers (plus the chaos injector),
    matched on the last constructor component so [open Robust.Failure] /
@@ -197,6 +203,8 @@ type dinfo = {
   mutable d_mutable : (string * allow_site option) option;
   mutable d_rec_group : string list; (* ids of the let-rec group, [] if none *)
   mutable d_a2_allow : allow_site option; (* binding-level allow for rec defs *)
+  mutable d_callbacks : (string * string list) list;
+      (* (callee, refs made inside an inline closure argument of a call to it) *)
 }
 
 type violation = { v_file : string; v_line : int; v_pass : string; v_msg : string }
@@ -238,6 +246,7 @@ let new_def ~file ~line id =
           d_mutable = None;
           d_rec_group = [];
           d_a2_allow = None;
+          d_callbacks = [];
         }
       in
       Hashtbl.replace defs id d;
@@ -649,7 +658,28 @@ let rec walk_expr w (d : dinfo) locals e =
       walk_cases w d locals cases
   | Pexp_apply (fn, args) ->
       walk_expr w d locals fn;
-      List.iter (fun (_, a) -> walk_expr w d locals a) args
+      let callee =
+        match fn.pexp_desc with
+        | Pexp_ident { txt = Lident name; _ } when SSet.mem name locals -> None
+        | Pexp_ident { txt; _ } -> (
+            match resolve w.w_f ~ctx:(current_ctx d) ~opens:w.w_opens (flatten txt) with
+            | Internal id -> Some id
+            | _ -> None)
+        | _ -> None
+      in
+      List.iter
+        (fun (_, a) ->
+          match (callee, a.pexp_desc) with
+          | Some callee, Pexp_function _ ->
+              (* an inline closure runs where the callee calls it: note its
+                 refs apart too, so A2 can credit them to a polling callee *)
+              let outer = d.d_refs in
+              d.d_refs <- [];
+              walk_expr w d locals a;
+              d.d_callbacks <- (callee, List.map (fun r -> r.r_target) d.d_refs) :: d.d_callbacks;
+              d.d_refs <- d.d_refs @ outer
+          | _ -> walk_expr w d locals a)
+        args
   | Pexp_tuple es | Pexp_array es -> List.iter (walk_expr w d locals) es
   | Pexp_construct (_, eo) | Pexp_variant (_, eo) -> Option.iter (walk_expr w d locals) eo
   | Pexp_record (fs, base) ->
@@ -997,9 +1027,15 @@ let run_a2 () =
      the forward closure of those callees. A bounded helper recursion
      (list walk, gcd) under Fast.run's polling main loop is covered —
      cancellation latency is one outer iteration. The driving loops
-     themselves (roots with no polling ancestor) still must poll. *)
+     themselves (roots with no polling ancestor) still must poll. An
+     inline closure handed to a function with a polling loop (the
+     window_of/assign arguments of Sos.Listing1.loop) counts as called
+     from inside that loop. *)
   let guarded =
     let base = ref [] in
+    let drives callee =
+      match find_def callee with Some c -> List.exists polling c.d_loops | None -> false
+    in
     List.iter
       (fun id ->
         match find_def id with
@@ -1007,7 +1043,10 @@ let run_a2 () =
         | Some d ->
             List.iter
               (fun l -> if polling l then base := List.sort_uniq compare l.l_refs @ !base)
-              d.d_loops)
+              d.d_loops;
+            List.iter
+              (fun (callee, refs) -> if drives callee then base := refs @ !base)
+              d.d_callbacks)
       ids;
     let g = reach ~roots:!base in
     fun id -> Hashtbl.mem g id
