@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint analyze bench examples doc clean outputs
+.PHONY: all build test lint bench examples doc clean outputs
 
 all: build
 
@@ -10,18 +10,12 @@ build:
 test:
 	dune runtest
 
-# Repo-invariant static analysis (rules R1-R7, doc/LINT.md); CI runs this
-# on both compiler versions and fails on any unsuppressed hit or on a
-# suppression-count increase versus tools/lint/allow_baseline.txt.
+# Repo-invariant static analysis (doc/LINT.md): soslint's per-file rules
+# R1-R7 and call-graph passes A1-A4. CI runs this on both compiler versions
+# and fails on any unsuppressed hit or on a suppression-count increase
+# versus tools/lint/allow_baseline.txt.
 lint:
 	dune build @lint
-
-# Whole-program analysis (passes A1-A4, doc/LINT.md): call-graph passes
-# for determinism taint, cancellation-poll coverage, domain safety, and
-# failure-taxonomy reachability, gated per pass against
-# tools/analysis/allow_baseline.txt.
-analyze:
-	dune build @analyze
 
 bench:
 	dune exec bench/main.exe

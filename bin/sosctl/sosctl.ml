@@ -53,7 +53,7 @@ let obs_flags =
       & opt ~vopt:(Some "-") (some string) None
       & info [ "metrics" ] ~docv:"PATH"
           ~doc:
-            "Record telemetry counters/timers/histograms during the run and dump \
+            "Record telemetry counters and histograms during the run and dump \
              a snapshot: to stderr ($(b,--metrics) alone), or to $(docv) (JSON if \
              it ends in .json, OpenMetrics exposition if it ends in .prom, text \
              otherwise).")
@@ -437,13 +437,31 @@ let export_cmd =
             "Convert the batch spec corpus $(i,FILE) (text, one $(i,FAMILY N M \
              [SCALE]) per line) to the compact binary form at $(docv) — 16 bytes \
              per spec, autodetected by $(b,sosctl batch). Strict: malformed or \
-             \\@PATH specs abort the conversion."
+             @PATH specs abort the conversion."
           ~docv:"OUT")
   in
   Cmd.v
     (Cmd.info "export"
        ~doc:"Export instances, schedules, traces as CSV; compile spec corpora to binary.")
     Term.(const run $ file $ what $ algo_arg "listing1" $ specs_bin)
+
+(* --chaos/$SOS_CHAOS and --chaos-seed/$SOS_CHAOS_SEED, shared by batch
+   and serve: the flag wins over the environment; a bad spec is a usage
+   error. *)
+let arm_chaos chaos chaos_seed =
+  match match chaos with Some s -> Some s | None -> Sys.getenv_opt "SOS_CHAOS" with
+  | None -> ()
+  | Some spec -> (
+      let seed =
+        match chaos_seed with
+        | Some s -> s
+        | None ->
+            Option.value ~default:0
+              (Option.bind (Sys.getenv_opt "SOS_CHAOS_SEED") int_of_string_opt)
+      in
+      match Robust.Chaos.arm ~seed spec with
+      | Ok () -> ()
+      | Error msg -> raise (Usage ("bad chaos spec: " ^ msg)))
 
 (* ---------------------------------------------------------------- batch *)
 
@@ -638,22 +656,7 @@ let batch_cmd =
       (* Backtraces are only captured by the runtime when recording is on;
          --verbose-errors implies it so Task_exn backtraces are real. *)
       if verbose_errors then Printexc.record_backtrace true;
-      (match
-         (match chaos with Some s -> Some s | None -> Sys.getenv_opt "SOS_CHAOS")
-       with
-      | None -> ()
-      | Some spec ->
-          let cseed =
-            match chaos_seed with
-            | Some s -> s
-            | None -> (
-                match Sys.getenv_opt "SOS_CHAOS_SEED" with
-                | Some s -> Option.value (int_of_string_opt s) ~default:0
-                | None -> 0)
-          in
-          (match Robust.Chaos.arm ~seed:cseed spec with
-          | Ok () -> ()
-          | Error msg -> raise (Usage ("bad chaos spec: " ^ msg))));
+      arm_chaos chaos chaos_seed;
       (match out_dir with
       | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
       | _ -> ());
@@ -1077,7 +1080,7 @@ let batch_cmd =
       & info [ "chaos" ]
           ~doc:
             "Arm the seeded fault injector with $(docv) (see doc/ROBUSTNESS.md; \
-             e.g. $(b,sos.fast.run\\@3,19:attempts=1) or $(b,engine.pool.worker~0.1)). \
+             e.g. $(b,sos.fast.run@3,19:attempts=1) or $(b,engine.pool.worker~0.1)). \
              Defaults to $(b,\\$SOS_CHAOS) when set."
           ~docv:"SPEC")
   in
@@ -1242,22 +1245,7 @@ let serve_cmd =
         raise (Usage "--resume requires --checkpoint PATH");
       if shards < 1 then raise (Usage "--shards must be >= 1");
       if sync_every < 1 then raise (Usage "--sync-every must be >= 1");
-      (match
-         (match chaos with Some s -> Some s | None -> Sys.getenv_opt "SOS_CHAOS")
-       with
-      | None -> ()
-      | Some spec ->
-          let cseed =
-            match chaos_seed with
-            | Some s -> s
-            | None -> (
-                match Sys.getenv_opt "SOS_CHAOS_SEED" with
-                | Some s -> Option.value (int_of_string_opt s) ~default:0
-                | None -> 0)
-          in
-          (match Robust.Chaos.arm ~seed:cseed spec with
-          | Ok () -> ()
-          | Error msg -> raise (Usage ("bad chaos spec: " ^ msg))));
+      arm_chaos chaos chaos_seed;
       let backoff =
         if backoff_base > 0.0 then Some (Robust.Backoff.policy ~base:backoff_base ~seed ())
         else None

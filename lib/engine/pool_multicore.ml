@@ -27,7 +27,7 @@ type t = {
    scheduling and are runtime-class. *)
 let c_tasks = Obs.Metrics.counter "engine.pool.tasks"
 let g_queue_hwm = Obs.Metrics.runtime_counter "engine.pool.queue_hwm"
-let t_queue_wait = Obs.Metrics.timer "engine.pool.queue_wait"
+let h_queue_wait = Obs.Hist.runtime "engine.pool.queue_wait_s"
 
 (* Streaming-window distribution telemetry (runtime class, PR 8): how
    long each producer pull takes on the caller thread, and how full the
@@ -128,17 +128,17 @@ let create ?domains () =
 let domains t = t.domains
 
 let submit t task =
-  (* Stamp the enqueue time only when someone is listening: the timer
+  (* Stamp the enqueue time only when someone is listening: the histogram
      records how long the task sat in the bounded queue before a worker
      picked it up. *)
   let task =
     if Obs.Metrics.enabled () then begin
       let enqueued =
-        (Prelude.Clock.now () [@sos.allow "A1: runtime-class queue-wait sample; t_queue_wait is a runtime timer, never digested"])
+        (Prelude.Clock.now () [@sos.allow "A1: runtime-class queue-wait sample; h_queue_wait is a runtime histogram, never digested"])
       in
       fun () ->
-        Obs.Metrics.observe t_queue_wait
-          ((Prelude.Clock.now () [@sos.allow "A1: runtime-class queue-wait sample; t_queue_wait is a runtime timer, never digested"])
+        Obs.Hist.observe h_queue_wait
+          ((Prelude.Clock.now () [@sos.allow "A1: runtime-class queue-wait sample; h_queue_wait is a runtime histogram, never digested"])
           -. enqueued);
         task ()
     end

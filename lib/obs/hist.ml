@@ -11,6 +11,7 @@ let log_bounds = Metrics.log_bounds
 let linear_bounds = Metrics.linear_bounds
 let observe = Metrics.hist_observe
 let observe_int = Metrics.hist_observe_int
+let time = Metrics.hist_time
 let count = Metrics.hist_count
 let max_value = Metrics.hist_max
 let quantile = Metrics.hist_quantile

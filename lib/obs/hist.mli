@@ -29,6 +29,12 @@ val observe : t -> float -> unit
 
 val observe_int : t -> int -> unit
 
+val time : t -> (unit -> 'a) -> 'a
+(** [time h f] runs [f] and records its wall duration in seconds, also
+    when [f] raises; with recording disabled it is just the call. For
+    runtime-class histograms ({!runtime}) only: durations are not
+    reproducible. *)
+
 val count : t -> int
 val max_value : t -> float
 

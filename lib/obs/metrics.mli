@@ -1,4 +1,4 @@
-(** Process-wide metric registry: counters, gauges, and wall-clock timers.
+(** Process-wide metric registry: counters, gauges, and histograms.
 
     Everything is disabled by default. A disabled metric operation is one
     atomic flag load and a branch — cheap enough to leave in the solver's
@@ -15,7 +15,7 @@
       [`Deterministic] snapshot of a fixed workload is byte-identical at
       any [-j] (a property the test suite and the bench gate assert).
     - {e runtime} metrics ({!runtime_counter}, high-water marks via
-      {!record_max}, and all {!timer}s) measure the execution itself —
+      {!record_max}, and {!runtime_hist}s) measure the execution itself —
       queue depths, per-domain task counts, latencies. They are excluded
       from the [`Deterministic] snapshot and carry no reproducibility
       promise.
@@ -37,7 +37,7 @@ val disable : unit -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero every counter and drop every timer's samples. Registrations are
+(** Zero every counter and histogram. Registrations are
     kept (a deterministic snapshot after [reset] lists the same names,
     all zero). *)
 
@@ -67,24 +67,6 @@ val value : counter -> int
 val get : string -> int
 (** Value of a registered counter by name; [Invalid_argument] if the name
     is unknown or not a counter. Test convenience. *)
-
-(** {1 Timers}
-
-    Wall-clock samples ([Prelude.Clock] seconds). Always runtime class.
-    Percentiles are computed over a bounded ring of the most recent 4096
-    samples (count/sum/max cover every observation), so a timer never
-    grows with the run — million-spec streams stay O(1) memory. *)
-
-type timer
-
-val timer : string -> timer
-
-val observe : timer -> float -> unit
-(** Record one duration, in seconds. *)
-
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, recording its wall duration (also on exception). When
-    recording is disabled this is just the call. *)
 
 (** {1 Histograms}
 
@@ -119,6 +101,11 @@ val hist_observe : hist -> float -> unit
 
 val hist_observe_int : hist -> int -> unit
 
+val hist_time : hist -> (unit -> 'a) -> 'a
+(** Run the thunk and record its wall duration in seconds
+    ([Prelude.Clock]), also on exception. When recording is disabled
+    this is just the call. Use on runtime-class histograms only. *)
+
 val hist_count : hist -> int
 (** Total observations, readable whether or not recording is enabled. *)
 
@@ -142,14 +129,14 @@ type snapshot_class = [ `Deterministic | `Runtime | `All ]
 
 val snapshot : ?cls:snapshot_class -> unit -> string
 (** Plain-text snapshot, one metric per line, sorted by name:
-    [name value] for counters, [name count=N p50=…ms p95=…ms max=…ms] for
-    timers, [name count=N p50=… p90=… p99=… max=…] for histograms.
+    [name value] for counters, [name count=N p50=… p90=… p99=… max=…] for
+    histograms.
     Default class [`All]. With [`Deterministic] the output is a pure
     function of the recorded algorithmic events. *)
 
 val snapshot_json : ?cls:snapshot_class -> unit -> string
 (** The same data as JSON:
-    [{"counters": [...], "timers": [...], "hists": [...]}], sorted by
+    [{"counters": [...], "hists": [...]}], sorted by
     name. Every entry carries a ["class"] field ("det" or "runtime");
     histogram entries list their non-empty buckets as
     [{"le": bound, "n": count}] (overflow bucket: ["le": "+Inf"]). *)
@@ -157,8 +144,7 @@ val snapshot_json : ?cls:snapshot_class -> unit -> string
 val to_openmetrics : ?cls:snapshot_class -> unit -> string
 (** OpenMetrics text exposition (the Prometheus scrape format), sorted by
     name, terminated by [# EOF]. Counters become [name_total] counter
-    families, timers become summaries in seconds (quantiles 0.5/0.95/1
-    plus [_count]/[_sum]), histograms become cumulative
+    families, histograms become cumulative
     [name_bucket{le="…"}] families. Metric names have non-identifier
     characters mapped to ['_'] (["sos.fast.runs"] → [sos_fast_runs]);
     every sample carries a [class="det"|"runtime"] label. Float sums are

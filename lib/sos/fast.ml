@@ -13,13 +13,12 @@ let c_makespan = Obs.Metrics.counter "sos.fast.makespan_steps"
 let c_assigned = Obs.Metrics.counter "sos.fast.assigned_units"
 let c_consumed = Obs.Metrics.counter "sos.fast.consumed_units"
 let c_waste = Obs.Metrics.counter "sos.fast.waste_units"
-let t_run = Obs.Metrics.timer "sos.fast.run"
 
 (* Distribution telemetry (PR 8). The two deterministic histograms record
    per-run algorithmic values — byte-identical at any [-j] — while the
-   latency histogram is runtime class: unlike the [t_run] timer's bounded
-   sample ring, its buckets summarize every run of a million-spec stream
-   in O(1) memory. All three cost one atomic flag load when disabled. *)
+   latency histogram is runtime class; its buckets summarize every run
+   of a million-spec stream in O(1) memory. All three cost one atomic
+   flag load when disabled. *)
 let h_iters =
   Obs.Hist.create
     ~bounds:(Obs.Hist.log_bounds ~lo:1.0 ~hi:1e6 ~per_decade:5)
@@ -64,12 +63,7 @@ let push_block bl allocs repeat =
   bl.len <- bl.len + 1
 
 let run_count ?(variant = `Fixed) inst =
-  Obs.Metrics.time t_run @@ fun () ->
-  let solve_t0 =
-    if Obs.Metrics.enabled () then
-      (Prelude.Clock.now () [@sos.allow "A1: runtime-class solve-latency sample; h_solve is a runtime histogram, never digested"])
-    else 0.0
-  in
+  Obs.Hist.time h_solve @@ fun () ->
   Obs.Metrics.incr c_runs;
   Robust.Chaos.point "sos.fast.run";
   let st = State.create inst in
@@ -150,10 +144,7 @@ let run_count ?(variant = `Fixed) inst =
   Obs.Metrics.add c_makespan (State.now st);
   if Obs.Metrics.enabled () then begin
     Obs.Hist.observe_int h_iters !iters;
-    Obs.Hist.observe_int h_blocks blocks.len;
-    Obs.Hist.observe h_solve
-      ((Prelude.Clock.now () [@sos.allow "A1: runtime-class solve-latency sample; h_solve is a runtime histogram, never digested"])
-      -. solve_t0)
+    Obs.Hist.observe_int h_blocks blocks.len
   end;
   (Schedule.of_blocks inst blocks.buf ~len:blocks.len, !iters)
 

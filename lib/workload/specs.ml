@@ -340,12 +340,15 @@ module Writer = struct
         Error (Printf.sprintf "bad n=%d m=%d (must be >= 1)" n m)
     | Some _ when (match scale with Some s -> s < 1 | None -> false) ->
         Error "bad scale (must be >= 1)"
-    | Some fi ->
-        out_u32 t fi;
-        out_u32 t n;
-        out_u32 t m;
-        out_u32 t (match scale with None -> 0 | Some s -> s);
-        Ok ()
+    | Some fi -> (
+        let scale = Option.value scale ~default:0 in
+        (* Fields are unsigned 32-bit: a larger value would wrap silently. *)
+        match List.find_opt (fun (_, v) -> v > 0xFFFFFFFF) [ ("n", n); ("m", m); ("scale", scale) ] with
+        | Some (name, v) ->
+            Error (Printf.sprintf "bad %s=%d (binary spec fields hold at most 4294967295)" name v)
+        | None ->
+            List.iter (out_u32 t) [ fi; n; m; scale ];
+            Ok ())
 end
 
 let convert_to_binary ~src ~dst =

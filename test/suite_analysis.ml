@@ -1,64 +1,60 @@
-(* Layer 11 — sosgraph, the whole-program analysis passes.
+(* Layer 11 — soslint's whole-program analysis passes.
 
-   Where soslint's rules are per-file (suite_lint.ml), sosgraph's passes
-   A1-A4 are interprocedural: every fixture below plants its violation at
+   Where the rules R1-R7 are per-file (suite_lint.ml), the passes A1-A4
+   are interprocedural: every fixture below plants its violation at
    least one call-graph edge away from the entry point that makes it a
    violation, so the tests fail if the call graph, the per-module
    resolution, or the reachability closures break — not just the syntactic
    matchers. Same matrix as the lint suite: per pass one violating fixture
    (exact file:line listing, exit 1), one clean fixture exercising the
    interprocedural escape hatch (a callee that polls, an Atomic, a
-   taxonomy carrier), and one suppressed via [@sos.allow]. Plus the
-   cross-cutting checks: byte-identical double runs on fixtures and on
-   the repo itself, the JSON report, the per-pass baseline cycle, and the
-   invariant that the repo is clean under its committed baseline. *)
+   taxonomy carrier), and one suppressed via [@sos.allow]. The same run
+   reports R1-R7 findings too, so a fixture that also breaks a per-file
+   rule lists both. Plus the cross-cutting checks: byte-identical double
+   runs on fixtures and on the repo's JSON report, the JSON report, the
+   per-rule baseline cycle, and the per-pass counts of the repo scan. *)
 
-let sosgraph = "../tools/analysis/sosgraph.exe"
+open Suite_lint
+
 let fixtures = "fixtures_analysis"
 
-let run_graph args =
-  let ic = Unix.open_process_in (sosgraph ^ " " ^ args) in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
-  in
-  (code, Buffer.contents buf)
-
 let graph_root ?(extra = "") root =
-  run_graph (Printf.sprintf "--root %s/%s %s lib bin bench" fixtures root extra)
+  run_lint (Printf.sprintf "--root %s/%s %s lib bin bench" fixtures root extra)
 
 let summary_line ~files ~functions ~edges ~violations ~suppressed ~sites =
   Printf.sprintf
-    "sosgraph: %d files, %d functions, %d edges, %d violations, %d suppressed hits via %d \
+    "soslint: %d files, %d functions, %d edges, %d violations, %d suppressed hits via %d \
      [@sos.allow] sites\n"
     files functions edges violations suppressed sites
 
 (* ------------------------------------------------- per-pass fixtures *)
 
-(* (pass, violating listing, (files, functions, edges) per variant).
-   Sizes differ per fixture because the clean variants add the callee
-   that provides the escape hatch. *)
+(* (pass, violating listing, R-rule lines of the suppressed fixture,
+   (files, functions, edges) per variant). Sizes differ per fixture
+   because the clean variants add the callee that provides the escape
+   hatch. The A1 fixtures read the wall clock directly, which R2 also
+   flags. *)
+let r2_line n =
+  Printf.sprintf
+    "lib/sos/fast.ml:%d R2 Unix.gettimeofday: wall-clock reads go through Prelude.Clock only" n
+
 let expected =
   [
     ( "a1",
       [
+        r2_line 1;
         "lib/sos/fast.ml:3 A1 det-class solver entry Sos.Fast.run is wall-clock/RNG/DLS/env \
          tainted: via Sos.Fast.run -> Sos.Fast.helper -> Sos.Fast.helper2; seed wall-clock \
          Unix.gettimeofday (lib/sos/fast.ml:1)";
       ],
+      [ r2_line 2 ],
       ((1, 3, 2), (1, 3, 2), (1, 3, 2)) );
     ( "a2",
       [
         "lib/sos/fast.ml:3 A2 while loop in Sos.Fast.spin (reachable from Sos.Fast.run) never \
          reaches Robust.Context.poll/Chaos.point \xe2\x80\x94 un-cancellable";
       ],
+      [],
       ((1, 2, 1), (1, 3, 3), (1, 2, 1)) );
     ( "a3",
       [
@@ -66,19 +62,23 @@ let expected =
          Sos.Cache.bump, which runs on pool workers (reachable from Engine.Pool.worker): use \
          Atomic, Tls, or an explicit allow";
       ],
+      [],
       ((2, 3, 2), (2, 3, 2), (2, 3, 2)) );
     ( "a4",
       [
         "lib/sos/packer.ml:1 A4 failwith in Sos.Packer.go is reachable from sosctl \
          (Sosctl.main) but maps to no Robust.Failure class";
       ],
+      [],
       ((2, 2, 1), (2, 2, 1), (2, 2, 1)) );
   ]
+
+let lines_of listing = String.concat "" (List.map (fun l -> l ^ "\n") listing)
 
 let test_pass_violating pass listing (files, functions, edges) () =
   let code, out = graph_root (pass ^ "_bad") in
   let expected =
-    String.concat "" (List.map (fun l -> l ^ "\n") listing)
+    lines_of listing
     ^ summary_line ~files ~functions ~edges ~violations:(List.length listing) ~suppressed:0
         ~sites:0
   in
@@ -93,13 +93,15 @@ let test_pass_clean pass (files, functions, edges) () =
     out;
   Alcotest.(check int) (pass ^ " clean exit") 0 code
 
-let test_pass_allow pass (files, functions, edges) () =
+let test_pass_allow pass r_lines (files, functions, edges) () =
   let code, out = graph_root (pass ^ "_allow") in
   Alcotest.(check string)
     (pass ^ " allow listing")
-    (summary_line ~files ~functions ~edges ~violations:0 ~suppressed:1 ~sites:1)
+    (lines_of r_lines
+    ^ summary_line ~files ~functions ~edges ~violations:(List.length r_lines) ~suppressed:1
+        ~sites:1)
     out;
-  Alcotest.(check int) (pass ^ " allow exit") 0 code
+  Alcotest.(check int) (pass ^ " allow exit") (if r_lines = [] then 0 else 1) code
 
 (* A closure passed inline to a function runs inside that function's loop:
    it is covered when the loop polls, and flagged with it when it does not. *)
@@ -121,34 +123,21 @@ let test_a2_callback () =
 
 (* --------------------------------------------------- cross-cutting *)
 
+(* Two runs agree byte for byte: the listing on a fixture, and the JSON
+   report on the repo scan (the two reports CI diffs). *)
 let test_deterministic_output () =
   let fixture_args = Printf.sprintf "--root %s/a1_bad lib bin bench" fixtures in
-  let code1, out1 = run_graph fixture_args in
-  let code2, out2 = run_graph fixture_args in
+  let code1, out1 = run_lint fixture_args in
+  let code2, out2 = run_lint fixture_args in
   Alcotest.(check string) "fixture bytes identical" out1 out2;
   Alcotest.(check int) "fixture exits agree" code1 code2;
-  let repo_args =
-    "--root .. --exclude-dir test/fixtures_lint --exclude-dir test/fixtures_analysis lib bin \
-     bench test"
-  in
-  let _, repo1 = run_graph repo_args in
-  let _, repo2 = run_graph repo_args in
-  Alcotest.(check string) "repo scan bytes identical" repo1 repo2
+  let report () = json_of (fun extra -> run_lint (extra ^ " " ^ repo_args)) in
+  Alcotest.(check string) "repo report bytes identical" (report ()) (report ())
 
 let test_json_report () =
-  let path = Filename.temp_file "sosgraph" ".json" in
-  let _code, _out = graph_root ~extra:("--json " ^ path) "a4_bad" in
-  let ic = open_in_bin path in
-  let json = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  let contains needle =
-    let nl = String.length needle and jl = String.length json in
-    let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
-  in
+  let json = json_of (fun extra -> graph_root ~extra "a4_bad") in
   List.iter
-    (fun needle -> Alcotest.(check bool) ("contains " ^ needle) true (contains needle))
+    (fun needle -> Alcotest.(check bool) ("contains " ^ needle) true (json_contains json needle))
     [
       "\"files_checked\": 2";
       "\"functions\": 2";
@@ -159,30 +148,24 @@ let test_json_report () =
       "{\"id\": \"A1\", \"name\": \"determinism-taint\", \"violations\": 0, \"suppressed\": 0}";
       "{\"id\": \"A4\", \"name\": \"failure-taxonomy-reachability\", \"violations\": 1, \
        \"suppressed\": 0}";
-      "\"file\": \"lib/sos/packer.ml\", \"line\": 1, \"pass\": \"A4\"";
+      "\"file\": \"lib/sos/packer.ml\", \"line\": 1, \"rule\": \"A4\"";
     ];
-  let count c = String.fold_left (fun acc x -> if x = c then acc + 1 else acc) 0 json in
-  Alcotest.(check int) "balanced braces" (count '{') (count '}');
-  Alcotest.(check int) "balanced brackets" (count '[') (count ']');
-  Alcotest.(check bool) "ends with newline" true (json.[String.length json - 1] = '\n')
+  check_json_shape json
 
 let test_baseline_roundtrip () =
-  let path = Filename.temp_file "sosgraph" ".baseline" in
+  let path = Filename.temp_file "soslint" ".baseline" in
   let code, _ = graph_root ~extra:("--write-baseline " ^ path) "a4_allow" in
   Alcotest.(check int) "write exit" 0 code;
-  let ic = open_in path in
-  let rows = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Alcotest.(check string) "per-pass rows" "A1 0\nA2 0\nA3 0\nA4 1\n" rows;
+  let rows = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "per-rule rows"
+    "R1 0\nR2 0\nR3 0\nR4 0\nR5 0\nR6 0\nR7 0\nA1 0\nA2 0\nA3 0\nA4 1\n" rows;
   let code, _ = graph_root ~extra:("--baseline " ^ path) "a4_allow" in
   Alcotest.(check int) "within baseline" 0 code;
   Sys.remove path
 
 let test_baseline_regression () =
-  let path = Filename.temp_file "sosgraph" ".baseline" in
-  let oc = open_out path in
-  output_string oc "A4 0\n";
-  close_out oc;
+  let path = Filename.temp_file "soslint" ".baseline" in
+  Out_channel.with_open_text path (fun oc -> output_string oc "A4 0\n");
   let code, out = graph_root ~extra:("--baseline " ^ path) "a4_allow" in
   Sys.remove path;
   Alcotest.(check int) "allow-count increase fails" 1 code;
@@ -194,34 +177,49 @@ let test_baseline_regression () =
   in
   Alcotest.(check bool) "explains the baseline breach" true mentions
 
-(* The repo itself must analyse clean under the committed per-pass
-   baseline: this is the invariant CI enforces via `dune build @analyze`,
-   re-checked here so `dune runtest` alone also catches a regression. *)
+(* The repo scan builds the whole call graph, finds no A1-A4 violation,
+   and keeps every pass at or under its committed baseline row (the
+   listing and exit code are checked by the lint suite's repo test). *)
 let test_repo_is_clean () =
-  let code, out =
-    run_graph
-      "--root .. --baseline ../tools/analysis/allow_baseline.txt --exclude-dir \
-       test/fixtures_lint --exclude-dir test/fixtures_analysis lib bin bench test"
+  let json = json_of (fun extra -> run_lint (extra ^ " " ^ repo_args)) in
+  let baseline =
+    In_channel.with_open_text "../tools/lint/allow_baseline.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           try Some (Scanf.sscanf l "%s %d" (fun id n -> (id, n))) with _ -> None)
   in
-  let lines = String.split_on_char '\n' out in
-  let listing =
-    List.filter
-      (fun l -> l <> "" && not (String.length l >= 9 && String.sub l 0 9 = "sosgraph:"))
-      lines
-  in
-  Alcotest.(check (list string)) "no violations in lib/ bin/ bench/ test/" [] listing;
-  Alcotest.(check int) "repo analyses clean" 0 code
+  List.iter
+    (fun (id, name) ->
+      let row =
+        Printf.sprintf "{\"id\": \"%s\", \"name\": \"%s\", \"violations\": 0, \"suppressed\": "
+          id name
+      in
+      Alcotest.(check bool) (id ^ " has no violations") true (json_contains json row);
+      let allowed = List.assoc id baseline in
+      let within =
+        List.exists
+          (fun n -> json_contains json (Printf.sprintf "%s%d}" row n))
+          (List.init (allowed + 1) Fun.id)
+      in
+      Alcotest.(check bool) (Printf.sprintf "%s within its baseline of %d" id allowed) true within)
+    [
+      ("A1", "determinism-taint");
+      ("A2", "cancellation-poll-coverage");
+      ("A3", "domain-safety");
+      ("A4", "failure-taxonomy-reachability");
+    ];
+  Alcotest.(check bool) "whole call graph" true (not (json_contains json "\"functions\": 0,"))
 
 let suite =
   let per_pass =
     expected
-    |> List.concat_map (fun (pass, listing, (bad, clean, allow)) ->
+    |> List.concat_map (fun (pass, listing, r_lines, (bad, clean, allow)) ->
            [
              Alcotest.test_case (pass ^ " violating fixture") `Quick
                (test_pass_violating pass listing bad);
              Alcotest.test_case (pass ^ " clean fixture") `Quick (test_pass_clean pass clean);
              Alcotest.test_case (pass ^ " suppressed fixture") `Quick
-               (test_pass_allow pass allow);
+               (test_pass_allow pass r_lines allow);
            ])
   in
   ( "analysis",

@@ -1,4 +1,4 @@
-(* Tests for the telemetry layer (lib/obs): counter/timer mechanics, the
+(* Tests for the telemetry layer (lib/obs): counter/histogram mechanics, the
    determinism-class split in snapshots, trace export well-formedness, the
    reconciliation of the solver's unit counters with Schedule analytics,
    and the batch-level determinism contract (deterministic snapshot
@@ -183,22 +183,22 @@ let test_counter_basics () =
 
 let test_registry_errors () =
   ignore (Metrics.counter "test.obs.det");
-  ignore (Metrics.timer "test.obs.t");
+  ignore (Hist.runtime "test.obs.t");
   Alcotest.check_raises "counter re-registered as runtime"
     (Invalid_argument
        "Obs.Metrics: \"test.obs.det\" already registered with another class")
     (fun () -> ignore (Metrics.runtime_counter "test.obs.det"));
-  Alcotest.check_raises "counter re-registered as timer"
+  Alcotest.check_raises "counter re-registered as histogram"
     (Invalid_argument "Obs.Metrics: \"test.obs.det\" already registered as a counter")
-    (fun () -> ignore (Metrics.timer "test.obs.det"));
-  Alcotest.check_raises "timer re-registered as counter"
-    (Invalid_argument "Obs.Metrics: \"test.obs.t\" already registered as a timer")
+    (fun () -> ignore (Hist.runtime "test.obs.det"));
+  Alcotest.check_raises "histogram re-registered as counter"
+    (Invalid_argument "Obs.Metrics: \"test.obs.t\" already registered as a histogram")
     (fun () -> ignore (Metrics.counter "test.obs.t"));
   Alcotest.check_raises "get unknown name"
     (Invalid_argument "Obs.Metrics.get: unknown counter \"test.obs.nope\"")
     (fun () -> ignore (Metrics.get "test.obs.nope"));
-  Alcotest.check_raises "get on a timer"
-    (Invalid_argument "Obs.Metrics.get: \"test.obs.t\" is a timer") (fun () ->
+  Alcotest.check_raises "get on a histogram"
+    (Invalid_argument "Obs.Metrics.get: \"test.obs.t\" is a histogram") (fun () ->
       ignore (Metrics.get "test.obs.t"))
 
 let test_record_max () =
@@ -209,42 +209,44 @@ let test_record_max () =
       Metrics.record_max g 11;
       Alcotest.(check int) "high-water mark keeps the max" 11 (Metrics.value g))
 
-let test_timer () =
-  let t = Metrics.timer "test.obs.timer" in
+let test_hist_time () =
+  let h = Hist.runtime "test.obs.timed" in
   Metrics.reset ();
   Metrics.disable ();
-  Alcotest.(check int) "disabled time is just the call" 9
-    (Metrics.time t (fun () -> 9));
+  Alcotest.(check int) "disabled time is just the call" 9 (Hist.time h (fun () -> 9));
+  Alcotest.(check int) "disabled time records nothing" 0 (Hist.count h);
   with_recording (fun () ->
-      Metrics.observe t 0.002;
-      Metrics.observe t 0.004;
-      (try Metrics.time t (fun () -> failwith "boom") with Failure _ -> ());
+      Alcotest.(check int) "time returns the thunk's value" 4 (Hist.time h (fun () -> 4));
+      Hist.observe h 0.002;
+      (try Hist.time h (fun () -> failwith "boom") with Failure _ -> ());
       let snap = Metrics.snapshot ~cls:`Runtime () in
       Alcotest.(check bool) "exception still observed (count=3)" true
-        (contains snap "test.obs.timer count=3"))
+        (contains snap "test.obs.timed count=3");
+      Alcotest.(check bool) "durations are runtime-class" false
+        (contains (Metrics.snapshot ~cls:`Deterministic ()) "test.obs.timed"))
 
 let test_snapshot_classes () =
   let c = Metrics.counter "test.obs.cls_det" in
   let g = Metrics.runtime_counter "test.obs.cls_rt" in
-  let t = Metrics.timer "test.obs.cls_timer" in
+  let t = Hist.runtime "test.obs.cls_rhist" in
   with_recording (fun () ->
       Metrics.add c 3;
       Metrics.add g 9;
-      Metrics.observe t 0.001);
+      Hist.observe t 0.001);
   let det = Metrics.snapshot ~cls:`Deterministic () in
   let rt = Metrics.snapshot ~cls:`Runtime () in
   let all = Metrics.snapshot () in
   Alcotest.(check bool) "det counter line" true (contains det "test.obs.cls_det 3\n");
   Alcotest.(check bool) "runtime counter excluded from det" false
     (contains det "cls_rt");
-  Alcotest.(check bool) "timer excluded from det" false (contains det "cls_timer");
+  Alcotest.(check bool) "runtime hist excluded from det" false (contains det "cls_rhist");
   Alcotest.(check bool) "runtime has the gauge" true
     (contains rt "test.obs.cls_rt 9\n");
-  Alcotest.(check bool) "runtime has the timer" true
-    (contains rt "test.obs.cls_timer count=1");
+  Alcotest.(check bool) "runtime has the runtime hist" true
+    (contains rt "test.obs.cls_rhist count=1");
   Alcotest.(check bool) "runtime excludes det counters" false (contains rt "cls_det");
   Alcotest.(check bool) "all has every class" true
-    (contains all "cls_det" && contains all "cls_rt" && contains all "cls_timer");
+    (contains all "cls_det" && contains all "cls_rt" && contains all "cls_rhist");
   let names =
     String.split_on_char '\n' all
     |> List.filter (fun l -> l <> "")
@@ -389,12 +391,12 @@ let test_hist_merge () =
 
 let test_openmetrics () =
   let c = Metrics.counter "test.obs.om.c" in
-  let t = Metrics.timer "test.obs.om.t" in
+  let t = Hist.runtime "test.obs.om.t" in
   let h = Hist.create ~bounds:[| 1.0; 10.0 |] "test.obs.om.h" in
   with_recording (fun () ->
       Metrics.add c 17;
-      Metrics.observe t 0.002;
-      Metrics.observe t 0.004;
+      Hist.observe t 0.002;
+      Hist.observe t 0.004;
       Hist.observe h 0.5;
       Hist.observe h 3.0;
       Hist.observe h 99.0);
@@ -403,9 +405,8 @@ let test_openmetrics () =
     (contains om "# TYPE test_obs_om_c counter");
   Alcotest.(check bool) "counter sample with class label" true
     (contains om "test_obs_om_c_total{class=\"det\"} 17\n");
-  Alcotest.(check bool) "timer exposed as a summary" true
-    (contains om "# TYPE test_obs_om_t summary"
-    && contains om "test_obs_om_t{class=\"runtime\",quantile=\"0.5\"}"
+  Alcotest.(check bool) "runtime hist carries its class" true
+    (contains om "# TYPE test_obs_om_t histogram"
     && contains om "test_obs_om_t_count{class=\"runtime\"} 2\n");
   Alcotest.(check bool) "histogram TYPE line" true
     (contains om "# TYPE test_obs_om_h histogram");
@@ -433,11 +434,10 @@ let test_openmetrics () =
                | Some _ -> ()
                | None -> Alcotest.failf "unparseable value %S in %S" v line)
          end);
-  (* The deterministic exposition excludes every runtime instrument:
-     timers are runtime by construction, so no summary quantiles. *)
+  (* The deterministic exposition excludes every runtime instrument. *)
   let det = Metrics.to_openmetrics ~cls:`Deterministic () in
-  Alcotest.(check bool) "det exposition has no timers" false
-    (contains det "quantile=");
+  Alcotest.(check bool) "det exposition has no runtime hists" false
+    (contains det "test_obs_om_t");
   Alcotest.(check bool) "det exposition keeps det hists" true
     (contains det "test_obs_om_h_bucket")
 
@@ -632,31 +632,32 @@ let test_snapshot_parse_prom_histogram () =
   Alcotest.(check (float 16.0)) "histogram sum parsed" (0.5 +. 1.5 +. 2.5 +. 1e9)
     (find "test_obs_prom_h_sum").Snapshot.v
 
-(* Timers render as OpenMetrics summaries with quantiles 0.5/0.95/1;
+(* Summaries from other exporters (quantiles 0.5/0.95/1 per series):
    the quantile series is skipped as shape, the count/sum scalars are
-   kept, and everything is runtime-class. *)
-let test_snapshot_parse_prom_timer () =
-  let t = Metrics.timer "test.obs.prom.t" in
-  with_recording (fun () -> List.iter (Metrics.observe t) [ 0.010; 0.020; 0.030 ]);
-  let om = Metrics.to_openmetrics () in
-  List.iter
-    (fun q ->
-      Alcotest.(check bool) ("summary has quantile " ^ q) true
-        (contains om ("test_obs_prom_t{class=\"runtime\",quantile=\"" ^ q ^ "\"}")))
-    [ "0.5"; "0.95"; "1" ];
+   kept with their class label. *)
+let test_snapshot_parse_prom_summary () =
+  let om =
+    "# TYPE ext_latency summary\n\
+     ext_latency{class=\"runtime\",quantile=\"0.5\"} 0.02\n\
+     ext_latency{class=\"runtime\",quantile=\"0.95\"} 0.03\n\
+     ext_latency{class=\"runtime\",quantile=\"1\"} 0.03\n\
+     ext_latency_count{class=\"runtime\"} 3\n\
+     ext_latency_sum{class=\"runtime\"} 0.06\n\
+     # EOF\n"
+  in
   let es = Snapshot.parse om in
   Alcotest.(check bool) "quantile series skipped by the parser" true
-    (List.for_all (fun e -> e.Snapshot.key <> "test_obs_prom_t") es);
+    (List.for_all (fun e -> e.Snapshot.key <> "ext_latency") es);
   let find key =
     match List.find_opt (fun e -> e.Snapshot.key = key) es with
     | Some e -> e
     | None -> Alcotest.failf "prom: key %S missing" key
   in
-  let count = find "test_obs_prom_t_count" in
-  Alcotest.(check (float 0.0)) "timer count parsed" 3.0 count.Snapshot.v;
-  Alcotest.(check (option string)) "timer class label parsed" (Some "runtime")
+  let count = find "ext_latency_count" in
+  Alcotest.(check (float 0.0)) "summary count parsed" 3.0 count.Snapshot.v;
+  Alcotest.(check (option string)) "summary class label parsed" (Some "runtime")
     count.Snapshot.cls;
-  Alcotest.(check (float 1e-9)) "timer sum parsed" 0.060 (find "test_obs_prom_t_sum").Snapshot.v
+  Alcotest.(check (float 1e-9)) "summary sum parsed" 0.060 (find "ext_latency_sum").Snapshot.v
 
 (* Round-trip against the JSON rendering of the same registry: modulo
    name sanitization ([a.b.c] -> [a_b_c_total]/[a_b_c_count]), the prom
@@ -780,7 +781,7 @@ let suite =
       Alcotest.test_case "counter basics" `Quick test_counter_basics;
       Alcotest.test_case "registry errors" `Quick test_registry_errors;
       Alcotest.test_case "record_max" `Quick test_record_max;
-      Alcotest.test_case "timer" `Quick test_timer;
+      Alcotest.test_case "hist time" `Quick test_hist_time;
       Alcotest.test_case "snapshot classes" `Quick test_snapshot_classes;
       Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
       Alcotest.test_case "trace export" `Quick test_trace_export;
@@ -796,7 +797,7 @@ let suite =
       Alcotest.test_case "snapshot parse roundtrip" `Quick test_snapshot_parse;
       Alcotest.test_case "snapshot prom histogram (+Inf bucket)" `Quick
         test_snapshot_parse_prom_histogram;
-      Alcotest.test_case "snapshot prom timer quantiles" `Quick test_snapshot_parse_prom_timer;
+      Alcotest.test_case "snapshot prom summary quantiles" `Quick test_snapshot_parse_prom_summary;
       Alcotest.test_case "snapshot prom/json round-trip" `Quick
         test_snapshot_prom_json_roundtrip;
       Alcotest.test_case "solver counters reconcile (pinned)" `Quick

@@ -180,6 +180,34 @@ let test_cli_export_literal () =
     (last_step "literal");
   Alcotest.(check int) "listing1" (Fast.run inst).Schedule.makespan (last_step "listing1")
 
+(* Every subcommand's manual renders: cmdliner reports a bad doc-string
+   markup (e.g. an escaped '@') on stderr while still exiting 0. The
+   subcommands are read from the top-level manual's COMMANDS section. *)
+let test_cli_help () =
+  let _, top, _ = run_sosctl "--help=plain" in
+  let commands =
+    String.split_on_char '\n' top
+    |> List.fold_left
+         (fun (inside, acc) line ->
+           if line = "COMMANDS" then (true, acc)
+           else if line <> "" && line.[0] <> ' ' then (false, acc)
+           else if inside && String.length line > 7 && String.sub line 0 7 = "       "
+                   && line.[7] <> ' '
+           then (inside, List.hd (String.split_on_char ' ' (String.trim line)) :: acc)
+           else (inside, acc))
+         (false, [])
+    |> snd |> List.rev
+  in
+  Alcotest.(check bool) "batch and export listed" true
+    (List.mem "batch" commands && List.mem "export" commands);
+  List.iter
+    (fun cmd ->
+      let code, out, err = run_sosctl (cmd ^ " --help=plain") in
+      Alcotest.(check int) (cmd ^ " --help exit") 0 code;
+      Alcotest.(check string) (cmd ^ " --help stderr") "" err;
+      Alcotest.(check bool) (cmd ^ " --help names the command") true (Helpers.contains out cmd))
+    commands
+
 let suite =
   ( "solver",
     [
@@ -190,4 +218,5 @@ let suite =
       Alcotest.test_case "step-by-step solvers honour deadlines" `Quick test_deadline;
       Alcotest.test_case "sosctl: unit precondition exits 2" `Quick test_cli_unit_precondition;
       Alcotest.test_case "sosctl: export -a literal" `Quick test_cli_export_literal;
+      Alcotest.test_case "sosctl: --help on every subcommand" `Quick test_cli_help;
     ] )

@@ -120,6 +120,41 @@ let test_binary_round_trip () =
   | Ok dt, Ok db -> Alcotest.(check string) "text and binary digests equal" dt db
   | Error msg, _ | _, Error msg -> Alcotest.fail msg
 
+(* Binary fields are unsigned 32-bit. A value above 0xFFFFFFFF must be
+   refused rather than wrapped ([n = 2^32 + 5] would come back as 5), so
+   the strict text-to-binary conversion aborts; the largest field value
+   still round-trips. *)
+let test_binary_field_range () =
+  with_temp_file ".bin" @@ fun bin ->
+  Out_channel.with_open_bin bin (fun oc ->
+      let w = Specs.Writer.create oc in
+      let refused what = function
+        | Error msg -> Alcotest.(check bool) (what ^ " names the field") true (Helpers.contains msg what)
+        | Ok () -> Alcotest.failf "%s above 2^32 - 1 accepted by Writer" what
+      in
+      refused "n=4294967301" (Specs.Writer.add w ~family:"uniform-small" ~n:4294967301 ~m:4 ());
+      refused "m=4294967300" (Specs.Writer.add w ~family:"uniform-small" ~n:4 ~m:4294967300 ());
+      refused "scale=4294967296"
+        (Specs.Writer.add w ~family:"uniform-small" ~n:4 ~m:4 ~scale:4294967296 ());
+      match Specs.Writer.add w ~family:"uniform-small" ~n:0xFFFFFFFF ~m:4 () with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg);
+  (match Specs.open_path bin with
+  | Error msg -> Alcotest.fail msg
+  | Ok src ->
+      (match read_all src with
+      | [ { Specs.payload = Specs.Gen { n; m; _ }; _ } ] ->
+          Alcotest.(check (pair int int)) "largest field round-trips" (0xFFFFFFFF, 4) (n, m)
+      | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs));
+      Specs.close src);
+  with_temp_file ".txt" @@ fun text ->
+  Out_channel.with_open_text text (fun oc ->
+      Out_channel.output_string oc "uniform-small 4 4\nuniform-small 4294967301 4\n");
+  match Specs.convert_to_binary ~src:text ~dst:bin with
+  | Error msg ->
+      Alcotest.(check bool) "conversion names the record" true (Helpers.contains msg "record 2")
+  | Ok _ -> Alcotest.fail "conversion wrapped n = 2^32 + 5"
+
 let test_binary_torn_record () =
   with_temp_file ".bin" @@ fun bin ->
   Out_channel.with_open_bin bin (fun oc ->
@@ -193,6 +228,7 @@ let suite =
       Alcotest.test_case "text reader: comments, blanks, recno" `Quick test_text_reader;
       Alcotest.test_case "binary round-trip + digest equality" `Quick test_binary_round_trip;
       Alcotest.test_case "torn binary record becomes Bad" `Quick test_binary_torn_record;
+      Alcotest.test_case "binary fields above 2^32 - 1 refused" `Quick test_binary_field_range;
       Alcotest.test_case "convert rejects @FILE and malformed" `Quick test_convert_rejects_unconvertible;
       Alcotest.test_case "streaming digest invariance" `Quick test_digest_chunk_invariance;
     ] )
