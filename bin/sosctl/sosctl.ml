@@ -93,13 +93,12 @@ let with_obs (metrics, trace) run =
   | None -> ());
   code
 
+(* Every family name `gen` and `batch` accept, built once. *)
+let families =
+  Workload.Sos_gen.all_families @ List.map Workload.Sos_gen.unit_of Workload.Sos_gen.all_families
+
 let family_of_name name =
-  match
-    List.find_opt
-      (fun f -> f.Workload.Sos_gen.name = name)
-      (Workload.Sos_gen.all_families
-      @ List.map Workload.Sos_gen.unit_of Workload.Sos_gen.all_families)
-  with
+  match List.find_opt (fun f -> String.equal f.Workload.Sos_gen.name name) families with
   | Some f -> Ok f
   | None ->
       Error
@@ -496,8 +495,33 @@ let arm_chaos chaos chaos_seed =
    will be replayed verbatim at emit time (never recomputed — even an
    armed chaos rule on the task site cannot change a replayed line). *)
 type batch_result =
-  | Solved of string * Sos.Instance.t * Sos.Schedule.t
+  | Solved of string * Sos.Schedule.t option
+      (** the `ok` line, formatted by the worker, and the schedule when
+          --out-dir wants its CSV *)
   | Replayed
+
+(* The `ok` line: "IDX ok LABEL n=N m=M makespan=C lb=LB ratio=R
+   blocks=B". The lower bound is summed once and the ratio taken from it,
+   so sos.bounds.ratio sees one observation per solved spec. *)
+let ok_line idx label inst (sched : Sos.Schedule.t) =
+  let makespan = sched.makespan in
+  let lb = Sos.Bounds.lower_bound inst in
+  let ratio = Sos.Bounds.ratio ~lb ~makespan in
+  let b = Buffer.create 96 in
+  let field key v =
+    Buffer.add_string b key;
+    Buffer.add_string b (string_of_int v)
+  in
+  Buffer.add_string b (string_of_int idx);
+  Buffer.add_string b " ok ";
+  Buffer.add_string b label;
+  field " n=" (Sos.Instance.n inst);
+  field " m=" inst.Sos.Instance.m;
+  field " makespan=" makespan;
+  field " lb=" lb;
+  Buffer.add_string b (Printf.sprintf " ratio=%.4f" ratio);
+  field " blocks=" (List.length sched.steps);
+  Buffer.contents b
 
 let payload_is_error line =
   match String.split_on_char ' ' line with _ :: "error" :: _ -> true | _ -> false
@@ -715,7 +739,7 @@ let batch_cmd =
         | Error v ->
             Robust.Failure.internal_error "invalid schedule at step %d: %s"
               v.Sos.Schedule.at_step v.Sos.Schedule.reason);
-        Solved (label, inst, sched)
+        Solved (ok_line idx label inst sched, if out_dir = None then None else Some sched)
       in
       (* The checkpoint header binds the journal to one run configuration:
          resuming under a different seed, algorithm, or spec corpus must be
@@ -773,12 +797,16 @@ let batch_cmd =
               ?occupancy:(if stream_mode then Some (!produced - !emitted) else None)
               ()
       in
+      (* Lines go to a terminal as they come; otherwise stdout is block
+         buffered and flushed when the stream ends (see finish_stream). *)
+      let line_buffered = Unix.isatty Unix.stdout in
       let emit_line ~journal ~fresh idx line =
         (match summary_state with
         | Some st -> Summary.add st line
         | None ->
-            print_endline line;
-            flush stdout);
+            print_string line;
+            print_char '\n';
+            if line_buffered then flush stdout);
         if fresh then
           match journal with
           | Some j -> Robust.Journal.Sharded.append j ~index:idx ~payload:line
@@ -807,22 +835,14 @@ let batch_cmd =
                 | Some payload ->
                     if payload_is_error payload then incr failures;
                     emit_line ~journal ~fresh:false idx payload))
-        | Ok (Solved (label, inst, sched)) ->
-            (match out_dir with
-            | Some dir ->
+        | Ok (Solved (line, sched)) ->
+            (match (out_dir, sched) with
+            | Some dir, Some sched ->
                 Out_channel.with_open_text
                   (Printf.sprintf "%s/batch-%04d.csv" dir idx)
                   (fun oc ->
                     Out_channel.output_string oc (Sos.Export.schedule_to_csv_rle sched))
-            | None -> ());
-            let line =
-              Printf.sprintf "%d ok %s n=%d m=%d makespan=%d lb=%d ratio=%.4f blocks=%d"
-                idx label (Sos.Instance.n inst) inst.Sos.Instance.m
-                sched.Sos.Schedule.makespan
-                (Sos.Bounds.lower_bound inst)
-                (Sos.Bounds.theorem_3_3_bound inst ~makespan:sched.Sos.Schedule.makespan)
-                (List.length sched.Sos.Schedule.steps)
-            in
+            | _ -> ());
             emit_line ~journal ~fresh:true idx line
         | Error (e : Engine.Batch.error) -> (
             match e.failure with
@@ -849,6 +869,10 @@ let batch_cmd =
                   flush stderr
                 end)
       in
+      (* Called inside Engine.Pool.with_pool, once every line is out:
+         shutting the worker domains down takes milliseconds, and the
+         output should not wait for it. *)
+      let finish_stream () = flush stdout in
       let replayed journal i =
         match journal with Some j -> Robust.Journal.Sharded.mem j i | None -> false
       in
@@ -911,7 +935,8 @@ let batch_cmd =
                            emit ~journal
                              ~recno_of:(fun idx -> recnos.(idx mod win))
                              idx outcome;
-                           after_emit idx)))))
+                           after_emit idx));
+                    finish_stream ())))
       end
       else begin
         (* Materialized path: collect the records (computing the digest in
@@ -962,7 +987,8 @@ let batch_cmd =
                        emit ~journal
                          ~recno_of:(fun idx -> records.(idx).Workload.Specs.recno)
                          idx outcome;
-                       after_emit idx))))
+                       after_emit idx));
+                finish_stream ()))
       end;
       Sys.set_signal Sys.sigint prev_sigint;
       Sys.set_signal Sys.sigterm prev_sigterm;

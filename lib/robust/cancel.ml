@@ -29,12 +29,15 @@ let cancel t = Atomic.set t.flag true
 let rec cancelled t =
   Atomic.get t.flag || match t.parent with Some p -> cancelled p | None -> false
 
+(* [>=]: a timeout below the clock's resolution (1e-9 s added to a
+   wall-clock reading is lost in rounding) has expired at the first
+   check, rather than only once the clock happens to tick. *)
 let rec check t =
   if Atomic.get t.flag then raise Failure.Cancel_requested;
   (match t.deadline with
   | Some d
     when (Prelude.Clock.now () [@sos.allow "A1: deadline check reads the wall clock by design; cancellation timing never reaches solver output"])
-         > d ->
+         >= d ->
       raise (Failure.Deadline (Option.value t.timeout ~default:0.0))
   | _ -> ());
   match t.parent with Some p -> check p | None -> ()

@@ -47,8 +47,9 @@ let global_draw seed =
 (* In-scope draws are a pure function of (seed, site, index, attempt, hit):
    deterministic at any domain count. *)
 let scoped_draw seed site (ctx : Context.t) =
-  let hit = try Hashtbl.find ctx.hits site with Not_found -> 0 in
-  Hashtbl.replace ctx.hits site (hit + 1);
+  let hits = Context.hits ctx in
+  let hit = try Hashtbl.find hits site with Not_found -> 0 in
+  Hashtbl.replace hits site (hit + 1);
   let rng = Prelude.Rng.create3 (seed lxor Hashtbl.hash site) ctx.index ((ctx.attempt * 0x10001) + hit) in
   Prelude.Rng.float rng 1.0
 

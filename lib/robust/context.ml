@@ -2,7 +2,7 @@ type t = {
   index : int;
   attempt : int;
   cancel : Cancel.t;
-  hits : (string, int) Hashtbl.t;
+  mutable hits : (string, int) Hashtbl.t option;
 }
 
 let key : t option Tls.key = Tls.new_key (fun () -> None)
@@ -11,7 +11,15 @@ let key : t option Tls.key = Tls.new_key (fun () -> None)
    to a single atomic load when no batch is running anywhere. *)
 let active = Atomic.make 0
 
-let make ~index ~attempt ~cancel = { index; attempt; cancel; hits = Hashtbl.create 4 }
+let make ~index ~attempt ~cancel = { index; attempt; cancel; hits = None }
+
+let hits ctx =
+  match ctx.hits with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 4 in
+      ctx.hits <- Some h;
+      h
 
 let with_ctx ctx f =
   let prev = Tls.get key in

@@ -17,12 +17,15 @@ type t = private {
   index : int;  (** the task's submission index in its batch *)
   attempt : int;  (** 0-based retry attempt *)
   cancel : Cancel.t;
-  hits : (string, int) Hashtbl.t;
-      (** per-attempt chaos-site hit counters (see {!Chaos}); owned by the
-          executing domain, never shared *)
+  mutable hits : (string, int) Hashtbl.t option;  (** see {!hits} *)
 }
 
 val make : index:int -> attempt:int -> cancel:Cancel.t -> t
+
+val hits : t -> (string, int) Hashtbl.t
+(** The attempt's chaos-site hit counters (see {!Chaos}), owned by the
+    executing domain and never shared. Made on first use, so a scope in
+    a run without an armed probabilistic chaos rule allocates no table. *)
 
 val with_ctx : t -> (unit -> 'a) -> 'a
 (** Run the thunk with [t] as the current scope (restored on exit, also on

@@ -2,28 +2,6 @@ let ceil_div a b =
   if b <= 0 then invalid_arg "Bounds.ceil_div: non-positive divisor";
   if a <= 0 then 0 else ((a - 1) / b) + 1
 
-(* Overflow-guarded Equation (1) sums: with p_j ≈ max_int/2 the plain
-   Σ p_j·r_j wraps negative and the "lower bound" silently collapses.
-   [Instance.validate] performs the same checks; routing the bound
-   computation itself through them means even un-validated callers get
-   [Robust.Failure.Invalid (Overflow _)] instead of garbage. *)
-let sum_checked f inst =
-  let n = Instance.n inst in
-  let rec go acc i =
-    if i >= n then Some acc
-    else
-      let v = f (Instance.job inst i) in
-      if v < 0 || acc > max_int - v then None else go (acc + v) (i + 1)
-  in
-  go 0 0
-
-let total_requirement_checked inst =
-  sum_checked
-    (fun (j : Job.t) -> if j.size > max_int / j.req then -1 else j.size * j.req)
-    inst
-
-let total_volume_checked inst = sum_checked (fun (j : Job.t) -> j.size) inst
-
 let resource_bound inst = ceil_div (Instance.total_requirement inst) inst.Instance.scale
 let volume_bound inst = ceil_div (Instance.total_volume inst) inst.Instance.m
 let longest_job_bound inst = Instance.max_size inst
@@ -34,10 +12,24 @@ let lower_bound_of_sums ~m ~scale ~requirement ~volume ~max_size =
   | None, _ -> Error (Robust.Failure.Overflow "total requirement Σ p_j·r_j exceeds max_int")
   | _, None -> Error (Robust.Failure.Overflow "total volume Σ p_j exceeds max_int")
 
+(* Overflow-guarded Equation (1) sums in one pass: with p_j ≈ max_int/2
+   the plain Σ p_j·r_j wraps negative and the "lower bound" silently
+   collapses. [Instance.validate] performs the same checks; routing the
+   bound itself through them means even un-validated callers get
+   [Robust.Failure.Invalid (Overflow _)] instead of garbage. A sum is -1
+   once it passed max_int. *)
 let lower_bound_checked inst =
+  let add acc v = if acc < 0 || v < 0 || acc > max_int - v then -1 else acc + v in
+  let requirement = ref 0 and volume = ref 0 and max_size = ref 0 in
+  Array.iter
+    (fun (j : Job.t) ->
+      requirement := add !requirement (if j.size > max_int / j.req then -1 else j.size * j.req);
+      volume := add !volume j.size;
+      if j.size > !max_size then max_size := j.size)
+    inst.Instance.jobs;
+  let some v = if v < 0 then None else Some v in
   lower_bound_of_sums ~m:inst.Instance.m ~scale:inst.Instance.scale
-    ~requirement:(total_requirement_checked inst) ~volume:(total_volume_checked inst)
-    ~max_size:(Instance.max_size inst)
+    ~requirement:(some !requirement) ~volume:(some !volume) ~max_size:!max_size
 
 let lower_bound inst =
   match lower_bound_checked inst with
@@ -54,14 +46,15 @@ let h_ratio =
     ~bounds:(Obs.Hist.linear_bounds ~lo:1.0 ~hi:3.0 ~step:0.05)
     "sos.bounds.ratio"
 
-let theorem_3_3_bound inst ~makespan =
-  let lb = lower_bound inst in
+let ratio ~lb ~makespan =
   let ratio =
     if lb = 0 then if makespan = 0 then 1.0 else infinity
     else float_of_int makespan /. float_of_int lb
   in
   Obs.Hist.observe h_ratio ratio;
   ratio
+
+let theorem_3_3_bound inst ~makespan = ratio ~lb:(lower_bound inst) ~makespan
 
 let guarantee_general ~m =
   if m < 3 then invalid_arg "Bounds.guarantee_general: need m >= 3";

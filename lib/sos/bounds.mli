@@ -39,7 +39,12 @@ val lower_bound_of_sums :
 
 val theorem_3_3_bound : Instance.t -> makespan:int -> float
 (** [makespan / lower_bound] as a float ([infinity] when the lower bound is
-    0 and makespan positive, [1.0] when both are 0). *)
+    0 and makespan positive, [1.0] when both are 0). Observes the ratio
+    in the [sos.bounds.ratio] histogram. *)
+
+val ratio : lb:int -> makespan:int -> float
+(** {!theorem_3_3_bound} from a lower bound already computed, so a caller
+    that also reports [lb] sums the instance once. *)
 
 val guarantee_general : m:int -> float
 (** The proven ratio [2 + 1/(m−2)] for general job sizes (requires m ≥ 3). *)

@@ -45,23 +45,6 @@ let record_block allocs repeat =
   Obs.Metrics.add c_consumed (repeat * !c);
   Obs.Metrics.add c_waste (repeat * (!a - !c))
 
-(* Growable RLE block buffer: the loop pushes completed blocks here and
-   [Schedule.of_blocks] consumes the array directly — no per-iteration
-   list consing. *)
-let dummy_step = { Schedule.allocs = []; repeat = 1 }
-
-type blocks = { mutable buf : Schedule.step array; mutable len : int }
-
-let push_block bl allocs repeat =
-  let cap = Array.length bl.buf in
-  if bl.len = cap then begin
-    let buf = Array.make (2 * cap) dummy_step in
-    Array.blit bl.buf 0 buf 0 cap;
-    bl.buf <- buf
-  end;
-  bl.buf.(bl.len) <- { Schedule.allocs; repeat };
-  bl.len <- bl.len + 1
-
 let run_count ?(variant = `Fixed) inst =
   Obs.Hist.time h_solve @@ fun () ->
   Obs.Metrics.incr c_runs;
@@ -69,7 +52,11 @@ let run_count ?(variant = `Fixed) inst =
   let st = State.create inst in
   let size = inst.Instance.m - 1 in
   let budget = inst.Instance.scale in
-  let blocks = { buf = Array.make 64 dummy_step; len = 0 } in
+  (* RLE blocks, newest first. A list keeps the step records young: pushed
+     into a growable array, which is a major-heap block past 256 entries,
+     every step and its allocations would be promoted at the next minor
+     collection. *)
+  let blocks = ref [] in
   let carried = ref Window.empty in
   (* Window pre-computed for the next iteration (the stability probe below
      lands on exactly the window the next iteration would compute, so it is
@@ -114,7 +101,7 @@ let run_count ?(variant = `Fixed) inst =
     in
     let finished_jobs = Assign.apply_n st outcome ~reps in
     State.advance st reps;
-    push_block blocks outcome.Assign.allocs reps;
+    blocks := { Schedule.allocs = outcome.Assign.allocs; repeat = reps } :: !blocks;
     if Obs.Metrics.enabled () then begin
       record_block outcome.Assign.allocs reps;
       if reps > 1 then begin
@@ -144,8 +131,8 @@ let run_count ?(variant = `Fixed) inst =
   Obs.Metrics.add c_makespan (State.now st);
   if Obs.Metrics.enabled () then begin
     Obs.Hist.observe_int h_iters !iters;
-    Obs.Hist.observe_int h_blocks blocks.len
+    Obs.Hist.observe_int h_blocks (List.length !blocks)
   end;
-  (Schedule.of_blocks inst blocks.buf ~len:blocks.len, !iters)
+  (Schedule.make inst (List.rev !blocks), !iters)
 
 let run ?variant inst = fst (run_count ?variant inst)

@@ -17,8 +17,8 @@
     window recomputation. See doc/ALGORITHM.md §5a for the proof sketch
     and the iteration bound.
 
-    {b Zero-allocation steps.} Blocks are emitted run-length encoded into
-    a growable array consumed by {!Schedule.of_blocks}; the window after a
+    {b Zero-allocation steps.} Blocks are emitted run-length encoded onto
+    a list, reversed once at the end; the window after a
     finishing step is repaired in O(finished) ({!Window.repair}); the
     stability probe's window is handed to the next iteration instead of
     recomputed. Between events the loop allocates nothing. *)

@@ -5,31 +5,47 @@ type t = {
   original : int array;
 }
 
-let placeholder = Job.v ~id:0 ~size:1 ~req:1
+(* A structured constant, so it is never a young block: [Array.make] of a
+   young value over 256 words forces a minor collection on OCaml 5. *)
+let placeholder = { Job.id = 0; size = 1; req = 1 }
 
 let check_dims ~m ~scale =
   if m < 2 then invalid_arg "Instance.create: need m >= 2";
   if scale < 1 then invalid_arg "Instance.create: need scale >= 1"
 
-let create ~m ~scale specs =
-  check_dims ~m ~scale;
-  let tagged =
-    List.mapi (fun pos (size, req) -> (pos, Job.v ~id:pos ~size ~req)) specs
-  in
-  let arr = Array.of_list tagged in
-  Array.sort (fun (_, a) (_, b) -> Job.compare_req a b) arr;
-  let jobs =
-    Array.mapi (fun i (_, j) -> Job.v ~id:i ~size:j.Job.size ~req:j.Job.req) arr
-  in
-  let original = Array.map fst arr in
-  { m; scale; jobs; original }
+(* The one builder: [order] holds the positions in (req, position) order,
+   and the records are written in place into an array made from a
+   constant, which never forces a minor collection. *)
+let fill ~m ~scale ~size ~req order =
+  let jobs = Array.make (Array.length order) placeholder in
+  Array.iteri (fun i pos -> jobs.(i) <- { Job.id = i; size = size pos; req = req pos }) order;
+  { m; scale; jobs; original = order }
 
-(* Filled in place: [Array.map] building a large array of fresh records
-   forces a minor collection on every call. *)
+let of_arrays ~m ~scale ~size ~req =
+  check_dims ~m ~scale;
+  let n = Array.length size in
+  if Array.length req <> n then invalid_arg "Instance.of_arrays: size and req lengths differ";
+  for pos = 0 to n - 1 do
+    Job.check ~size:size.(pos) ~req:req.(pos)
+  done;
+  let order = Array.init n Fun.id in
+  (* Stable, so equal requirements keep position order. *)
+  Array.stable_sort (fun a b -> Int.compare req.(a) req.(b)) order;
+  fill ~m ~scale ~size:(Array.get size) ~req:(Array.get req) order
+
+let create ~m ~scale specs =
+  let n = List.length specs in
+  let size = Array.make n 0 and req = Array.make n 0 in
+  List.iteri
+    (fun i (s, r) ->
+      size.(i) <- s;
+      req.(i) <- r)
+    specs;
+  of_arrays ~m ~scale ~size ~req
+
 let of_ordered ~m ~scale ~size ~req order =
   check_dims ~m ~scale;
   let n = Array.length order in
-  let jobs = Array.make n placeholder in
   Array.iteri
     (fun i pos ->
       if pos < 0 || pos >= n then invalid_arg "Instance.of_ordered: position out of range";
@@ -37,9 +53,9 @@ let of_ordered ~m ~scale ~size ~req order =
          let prev = order.(i - 1) in
          if req prev > req pos || (req prev = req pos && prev >= pos) then
            invalid_arg "Instance.of_ordered: not in (req, position) order");
-      jobs.(i) <- Job.v ~id:i ~size:(size pos) ~req:(req pos))
+      Job.check ~size:(size pos) ~req:(req pos))
     order;
-  { m; scale; jobs; original = Array.copy order }
+  fill ~m ~scale ~size ~req (Array.copy order)
 
 let of_floats ~m ~scale specs =
   let quantize f =
@@ -144,30 +160,27 @@ let of_string str =
    whose Σ p_j or Σ p_j·r_j exceeds max_int would make the lower bound
    silently negative. *)
 
-let sum_checked f jobs =
-  Array.fold_left
-    (fun acc j ->
-      match acc with
-      | None -> None
-      | Some a ->
-          let v = f j in
-          if v < 0 || a > max_int - v then None else Some (a + v))
-    (Some 0) jobs
+(* [acc + v], or -1 once a term is negative or the sum passes max_int;
+   -1 stays -1. *)
+let add_checked acc v = if acc < 0 || v < 0 || acc > max_int - v then -1 else acc + v
 
 let validate ?(window = false) t =
   let open Robust.Failure in
   if window && t.m < 3 then Error (Too_few_processors { m = t.m; need = 3 })
   else begin
-    let s_of (j : Job.t) = if j.size > max_int / j.req then -1 else j.size * j.req in
-    match
-      ( sum_checked (fun (j : Job.t) -> j.size) t.jobs,
-        sum_checked s_of t.jobs,
-        sum_checked (fun (j : Job.t) -> j.req) t.jobs )
-    with
-    | Some _, Some _, Some _ -> Ok t
-    | None, _, _ -> Error (Overflow "total volume Σ p_j exceeds max_int")
-    | _, None, _ -> Error (Overflow "total requirement Σ p_j·r_j exceeds max_int")
-    | _, _, None -> Error (Overflow "Σ r_j exceeds max_int")
+    let volume = ref 0 and requirement = ref 0 and reqs = ref 0 in
+    Array.iter
+      (fun (j : Job.t) ->
+        volume := add_checked !volume j.size;
+        requirement :=
+          add_checked !requirement (if j.size > max_int / j.req then -1 else j.size * j.req);
+        reqs := add_checked !reqs j.req)
+      t.jobs;
+    if !volume < 0 then Error (Overflow "total volume Σ p_j exceeds max_int")
+    else if !requirement < 0 then
+      Error (Overflow "total requirement Σ p_j·r_j exceeds max_int")
+    else if !reqs < 0 then Error (Overflow "Σ r_j exceeds max_int")
+    else Ok t
   end
 
 let create_checked ?window ~m ~scale specs =

@@ -20,6 +20,14 @@ val create : m:int -> scale:int -> (int * int) list -> t
     [scale < 1], or any size/req is non-positive. The empty job list is
     allowed. *)
 
+val of_arrays : m:int -> scale:int -> size:int array -> req:int array -> t
+(** [of_arrays ~m ~scale ~size ~req] is {!create} on the jobs
+    [(size.(pos), req.(pos))], [pos] in caller order, without building a
+    list: the job records are written in place, so a large instance
+    forces no minor collection. The arrays are only read. Raises
+    [Invalid_argument] as {!create} does (for the first bad job in
+    caller order), and when the two arrays differ in length. *)
+
 val check_dims : m:int -> scale:int -> unit
 (** Raises the [Invalid_argument] {!create} raises for [m < 2] or
     [scale < 1]; does nothing otherwise. *)

@@ -16,6 +16,10 @@ val v : id:int -> size:int -> req:int -> t
 (** Smart constructor; raises [Invalid_argument] on non-positive size/req or
     negative id. *)
 
+val check : size:int -> req:int -> unit
+(** The size and requirement checks of {!v}, with its messages, for
+    builders that fill job records in place. *)
+
 val s : t -> int
 (** Total resource requirement [s_j = p_j · r_j], in resource units. *)
 

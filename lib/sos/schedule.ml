@@ -14,21 +14,6 @@ let make inst steps =
 
 let empty inst = { inst; steps = []; makespan = 0 }
 
-let of_blocks inst blocks ~len =
-  if len < 0 || len > Array.length blocks then
-    invalid_arg "Schedule.of_blocks: len out of range";
-  (* One backward pass: builds the step list in time order and sums the
-     makespan without an intermediate reversed list. *)
-  let makespan = ref 0 in
-  let steps = ref [] in
-  for i = len - 1 downto 0 do
-    let st = blocks.(i) in
-    if st.repeat <= 0 then invalid_arg "Schedule.of_blocks: non-positive repeat";
-    makespan := !makespan + st.repeat;
-    steps := st :: !steps
-  done;
-  { inst; steps = !steps; makespan = !makespan }
-
 (* ------------------------------------------------------- RLE iteration *)
 
 (* Everything below is built on these two: one pass over the run-length
@@ -59,76 +44,95 @@ let violation at_step fmt = Format.kasprintf (fun reason -> { at_step; reason })
 
 exception Bad of violation
 
+(* Per-domain scratch for [validate], reused across calls: checking a
+   schedule then allocates nothing, not even its per-job arrays, which
+   for more than 256 jobs would go straight to the major heap. Kept for
+   up to [scratch_jobs] jobs. A call takes the array out of the slot and
+   puts it back when done, so a second caller on the same domain (a
+   systhread) makes its own instead of sharing it. *)
+let scratch_jobs = 1 lsl 16
+
+let scratch : int array ref Robust.Tls.key = Robust.Tls.new_key (fun () -> ref [||])
+
+(* No allocation unless a violation is found. Five int views of [n]
+   slots each: remaining requirement, first and last step seen, steps
+   seen, and [stamp], the index of the last block that allocated the job
+   — so a second allocation in one block is one array read, and a job in
+   two consecutive blocks is not mistaken for one. *)
 let validate ?(preemption_ok = false) t =
   let inst = t.inst in
-  let n = Instance.n inst in
-  let remaining = Array.init n (fun i -> Job.s (Instance.job inst i)) in
-  let first_seen = Array.make n (-1) in
-  let last_seen = Array.make n (-1) in
-  let steps_seen = Array.make n 0 in
-  try
-    fold_segments t ~init:() ~f:(fun () ~t0 ~repeat allocs ->
-        let seen = Hashtbl.create 8 in
-        let count = ref 0 in
-        let total_assigned =
-          List.fold_left
-            (fun acc a ->
-              incr count;
-              if a.job < 0 || a.job >= n then
-                raise (Bad (violation t0 "allocation for unknown job %d" a.job));
-              if Hashtbl.mem seen a.job then
-                raise (Bad (violation t0 "job %d allocated twice in one step" a.job));
-              Hashtbl.add seen a.job ();
-              if a.assigned < 0 then
-                raise (Bad (violation t0 "job %d: negative assignment" a.job));
-              if a.consumed < 0 then
-                raise (Bad (violation t0 "job %d: negative consumption" a.job));
-              let r = (Instance.job inst a.job).Job.req in
-              let cap = min a.assigned r in
-              if a.consumed > cap then
-                raise
-                  (Bad
-                     (violation t0 "job %d: consumed %d > min(assigned=%d, r=%d)"
-                        a.job a.consumed a.assigned r));
-              let used = repeat * a.consumed in
-              if used > remaining.(a.job) then
-                raise
-                  (Bad
-                     (violation t0 "job %d: over-consumed (%d > remaining %d)" a.job
-                        used remaining.(a.job)));
-              remaining.(a.job) <- remaining.(a.job) - used;
-              if a.consumed < cap && (repeat > 1 || remaining.(a.job) <> 0) then
-                raise
-                  (Bad
-                     (violation t0
-                        "job %d: under-consumed (%d < %d) outside its finishing step"
-                        a.job a.consumed cap));
-              if first_seen.(a.job) < 0 then first_seen.(a.job) <- t0;
-              last_seen.(a.job) <- t0 + repeat - 1;
-              steps_seen.(a.job) <- steps_seen.(a.job) + repeat;
-              acc + a.assigned)
-            0 allocs
-        in
-        if total_assigned > inst.Instance.scale then
+  let jobs = inst.Instance.jobs in
+  let n = Array.length jobs in
+  let slot = Robust.Tls.get scratch in
+  let a = if Array.length !slot >= 5 * n then !slot else Array.make (5 * max n 64) 0 in
+  slot := [||];
+  let first = n and last = 2 * n and seen = 3 * n and stamp = 4 * n in
+  for j = 0 to n - 1 do
+    a.(j) <- Job.s jobs.(j);
+    a.(first + j) <- -1;
+    a.(last + j) <- -1;
+    a.(seen + j) <- 0;
+    a.(stamp + j) <- -1
+  done;
+  let rec block b ~t0 ~repeat ~count ~total = function
+    | [] ->
+        if total > inst.Instance.scale then
+          raise
+            (Bad (violation t0 "resource overused: %d > scale %d" total inst.Instance.scale));
+        if count > inst.Instance.m then
+          raise (Bad (violation t0 "too many jobs in one step: %d > m=%d" count inst.Instance.m))
+    | al :: rest ->
+        let j = al.job in
+        if j < 0 || j >= n then raise (Bad (violation t0 "allocation for unknown job %d" j));
+        if a.(stamp + j) = b then
+          raise (Bad (violation t0 "job %d allocated twice in one step" j));
+        a.(stamp + j) <- b;
+        if al.assigned < 0 then raise (Bad (violation t0 "job %d: negative assignment" j));
+        if al.consumed < 0 then raise (Bad (violation t0 "job %d: negative consumption" j));
+        let r = jobs.(j).Job.req in
+        let cap = min al.assigned r in
+        if al.consumed > cap then
           raise
             (Bad
-               (violation t0 "resource overused: %d > scale %d" total_assigned
-                  inst.Instance.scale));
-        if !count > inst.Instance.m then
+               (violation t0 "job %d: consumed %d > min(assigned=%d, r=%d)" j al.consumed
+                  al.assigned r));
+        let used = repeat * al.consumed in
+        if used > a.(j) then
+          raise (Bad (violation t0 "job %d: over-consumed (%d > remaining %d)" j used a.(j)));
+        a.(j) <- a.(j) - used;
+        if al.consumed < cap && (repeat > 1 || a.(j) <> 0) then
           raise
-            (Bad (violation t0 "too many jobs in one step: %d > m=%d" !count inst.Instance.m)));
-    for j = 0 to n - 1 do
-      if remaining.(j) <> 0 then
-        raise (Bad (violation (-1) "job %d not finished: %d units left" j remaining.(j)));
-      if (not preemption_ok) && steps_seen.(j) <> last_seen.(j) - first_seen.(j) + 1
-      then
-        raise
-          (Bad
-             (violation (-1) "job %d preempted: present %d of steps [%d..%d]" j
-                steps_seen.(j) first_seen.(j) last_seen.(j)))
-    done;
-    Ok ()
-  with Bad v -> Error v
+            (Bad
+               (violation t0 "job %d: under-consumed (%d < %d) outside its finishing step" j
+                  al.consumed cap));
+        if a.(first + j) < 0 then a.(first + j) <- t0;
+        a.(last + j) <- t0 + repeat - 1;
+        a.(seen + j) <- a.(seen + j) + repeat;
+        block b ~t0 ~repeat ~count:(count + 1) ~total:(total + al.assigned) rest
+  in
+  let rec blocks b t0 = function
+    | [] -> ()
+    | st :: rest ->
+        block b ~t0 ~repeat:st.repeat ~count:0 ~total:0 st.allocs;
+        blocks (b + 1) (t0 + st.repeat) rest
+  in
+  let result =
+    try
+      blocks 0 0 t.steps;
+      for j = 0 to n - 1 do
+        if a.(j) <> 0 then
+          raise (Bad (violation (-1) "job %d not finished: %d units left" j a.(j)));
+        if (not preemption_ok) && a.(seen + j) <> a.(last + j) - a.(first + j) + 1 then
+          raise
+            (Bad
+               (violation (-1) "job %d preempted: present %d of steps [%d..%d]" j a.(seen + j)
+                  a.(first + j) a.(last + j)))
+      done;
+      Ok ()
+    with Bad v -> Error v
+  in
+  if n <= scratch_jobs then slot := a;
+  result
 
 let assert_valid ?preemption_ok t =
   match validate ?preemption_ok t with

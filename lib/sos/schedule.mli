@@ -35,14 +35,6 @@ val make : Instance.t -> step list -> t
 
 val empty : Instance.t -> t
 
-val of_blocks : Instance.t -> step array -> len:int -> t
-(** [of_blocks inst blocks ~len] builds a schedule from the first [len]
-    entries of a block array in time order — the RLE-native entry point for
-    the event-driven solver, which accumulates blocks into a growable
-    scratch array instead of consing a reversed list. One backward pass;
-    the array is not retained. Raises [Invalid_argument] on a non-positive
-    [repeat] or [len] out of range. *)
-
 (** {1 RLE-native iteration} *)
 
 val fold_segments :

@@ -5,14 +5,14 @@ type family = { name : string; req : D.t; size : D.t }
 
 let default_scale = 720720
 
+(* Draws straight into two int arrays, size then req per job. *)
 let generate rng family ~n ~m ?(scale = default_scale) () =
-  let specs =
-    List.init n (fun _ ->
-        let size = max 1 (D.sample rng family.size) in
-        let req = max 1 (D.sample rng family.req) in
-        (size, req))
-  in
-  Sos.Instance.create ~m ~scale specs
+  let size = Array.make n 0 and req = Array.make n 0 in
+  for i = 0 to n - 1 do
+    size.(i) <- max 1 (D.sample rng family.size);
+    req.(i) <- max 1 (D.sample rng family.req)
+  done;
+  Sos.Instance.of_arrays ~m ~scale ~size ~req
 
 let sizes_1_20 = D.Uniform { lo = 1; hi = 20 }
 let s = default_scale

@@ -351,6 +351,9 @@ module Writer = struct
             Ok ())
 end
 
+(* Written to [dst].tmp and renamed over [dst] only on success, so a
+   failed conversion leaves no file behind and an existing [dst] as it
+   was: a header-only leftover would read as an empty corpus. *)
 let convert_to_binary ~src ~dst =
   match open_path src with
   | Error _ as e -> e
@@ -358,24 +361,36 @@ let convert_to_binary ~src ~dst =
       Fun.protect
         ~finally:(fun () -> close s)
         (fun () ->
-          Out_channel.with_open_bin dst (fun oc ->
-              let w = Writer.create oc in
-              let count = ref 0 in
-              let rec go () =
-                match read s with
-                | None -> Ok !count
-                | Some r -> (
-                    match r.payload with
-                    | Bad msg -> Error (Printf.sprintf "record %d: %s" r.recno msg)
-                    | File _ ->
-                        Error
-                          (Printf.sprintf
-                             "record %d: @FILE specs cannot be converted to binary" r.recno)
-                    | Gen { family; n; m; scale } -> (
-                        match Writer.add w ~family ~n ~m ?scale () with
-                        | Error msg -> Error (Printf.sprintf "record %d: %s" r.recno msg)
-                        | Ok () ->
-                            incr count;
-                            go ()))
-              in
-              go ()))
+          let tmp = dst ^ ".tmp" in
+          let result =
+            match
+              Out_channel.with_open_bin tmp (fun oc ->
+                  let w = Writer.create oc in
+                  let count = ref 0 in
+                  let rec go () =
+                    match read s with
+                    | None -> Ok !count
+                    | Some r -> (
+                        match r.payload with
+                        | Bad msg -> Error (Printf.sprintf "record %d: %s" r.recno msg)
+                        | File _ ->
+                            Error
+                              (Printf.sprintf
+                                 "record %d: @FILE specs cannot be converted to binary"
+                                 r.recno)
+                        | Gen { family; n; m; scale } -> (
+                            match Writer.add w ~family ~n ~m ?scale () with
+                            | Error msg -> Error (Printf.sprintf "record %d: %s" r.recno msg)
+                            | Ok () ->
+                                incr count;
+                                go ()))
+                  in
+                  go ())
+            with
+            | result -> result
+            | exception e ->
+                (try Sys.remove tmp with Sys_error _ -> ());
+                raise e
+          in
+          (match result with Ok _ -> Sys.rename tmp dst | Error _ -> Sys.remove tmp);
+          result)

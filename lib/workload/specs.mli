@@ -105,4 +105,7 @@ val convert_to_binary : src:string -> dst:string -> (int, string) result
 (** Convert a corpus (usually text) to binary at [dst], streaming both
     sides; returns the record count. Strict: a [Bad] record, an [@PATH]
     spec, or an unknown family aborts with an [Error] naming the record —
-    a converted corpus is guaranteed to replay identically. *)
+    a converted corpus is guaranteed to replay identically. The output
+    goes to [dst ^ ".tmp"], renamed over [dst] on success and removed
+    otherwise, so a failed conversion creates no [dst] and leaves an
+    existing one byte-unchanged. *)

@@ -143,6 +143,110 @@ let qcheck_lb_le_trivial_schedule =
       in
       Bounds.lower_bound inst <= upper)
 
+(* ------------------------------------- in-place builder vs the oracle *)
+
+(* What a builder did: the built arrays, or the exception it raised. *)
+let outcome f =
+  match f () with
+  | jobs, original -> Ok (Array.to_list jobs, Array.to_list original)
+  | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
+
+let built (inst : Instance.t) = (inst.jobs, inst.original)
+
+(* n on both sides of 256 (the size above which [Array.make] of a young
+   value forces a minor collection), requirements from narrow ranges for
+   many ties, and sometimes a few non-positive sizes or requirements. *)
+let builder_case =
+  let open QCheck.Gen in
+  let gen =
+    let* n = oneof [ int_range 0 40; int_range 240 300; int_range 500 700 ] in
+    let* req_hi = oneofl [ 1; 3; 50; 720720 ] in
+    let* specs = list_repeat n (pair (int_range 1 20) (int_range 1 req_hi)) in
+    let* bad =
+      frequency
+        [
+          (3, return []);
+          (1, list_size (int_range 1 3) (triple (int_range 0 (max 0 (n - 1))) bool (int_range (-2) 0)));
+        ]
+    in
+    let* m = frequency [ (9, int_range 2 16); (1, return 1) ] in
+    let+ scale = frequency [ (9, int_range 1 720720); (1, return 0) ] in
+    let specs =
+      List.mapi
+        (fun pos (size, req) ->
+          List.fold_left
+            (fun (size, req) (at, on_size, v) ->
+              if at <> pos then (size, req) else if on_size then (v, req) else (size, v))
+            (size, req) bad)
+        specs
+    in
+    (m, scale, specs)
+  in
+  QCheck.make gen ~print:(fun (m, scale, specs) ->
+      Printf.sprintf "m=%d scale=%d n=%d [%s]" m scale (List.length specs)
+        (String.concat "; " (List.map (fun (p, r) -> Printf.sprintf "(%d,%d)" p r) specs)))
+
+let qcheck_builder_oracle =
+  Helpers.qcheck ~count:300 "in-place builder ≡ list-based create (jobs, original, errors)"
+    builder_case (fun (m, scale, specs) ->
+      let expected = outcome (fun () -> Instance_oracle.create ~m ~scale specs) in
+      let size = Array.of_list (List.map fst specs) and req = Array.of_list (List.map snd specs) in
+      outcome (fun () -> built (Instance.create ~m ~scale specs)) = expected
+      && outcome (fun () -> built (Instance.of_arrays ~m ~scale ~size ~req)) = expected)
+
+let qcheck_generate_oracle =
+  Helpers.qcheck ~count:60 "Sos_gen.generate ≡ list-based generate (same draws)"
+    QCheck.(triple (int_range 0 5) (oneofl [ 0; 1; 255; 256; 257; 700 ]) small_nat)
+    (fun (fam, n, seed) ->
+      let family = List.nth Workload.Sos_gen.all_families fam in
+      let scale = Workload.Sos_gen.default_scale in
+      let expected =
+        outcome (fun () ->
+            Instance_oracle.generate (Prelude.Rng.create seed) family ~n ~m:4 ~scale)
+      in
+      outcome (fun () ->
+          built (Workload.Sos_gen.generate (Prelude.Rng.create seed) family ~n ~m:4 ~scale ()))
+      = expected)
+
+(* On OCaml 5, [Array.make]/[of_list]/[init]/[map]/[mapi] of a fresh boxed
+   value over 256 words forces a minor collection. The per-spec batch path
+   builds in place, so it collects only when the minor heap fills: K calls
+   may take [minor_words / minor_heap_size + 1] collections, where each
+   forced one adds at least one per call. The minor heap is enlarged for
+   the measurement because OCaml 5 also runs a minor collection with the
+   major slice it requests every [minor_heap_size / 5] words allocated
+   directly in the major heap (every array over 256 words), which at the
+   default size would count K calls' unavoidable [jobs] and [original]
+   arrays rather than forced collections. *)
+let test_no_forced_minor_gc () =
+  let n = 1000 and k = 20 in
+  let family = Workload.Sos_gen.uniform_small in
+  let inst = Workload.Sos_gen.generate (Prelude.Rng.create 5) family ~n ~m:8 () in
+  let text = Instance.to_string inst in
+  let sched = Fast.run inst in
+  let params = Gc.get () in
+  Fun.protect ~finally:(fun () -> Gc.set params) @@ fun () ->
+  Gc.set { params with Gc.minor_heap_size = 1 lsl 21 };
+  let heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  let check name f =
+    Gc.minor ();
+    let s0 = Gc.quick_stat () in
+    for i = 1 to k do
+      ignore (Sys.opaque_identity (f i))
+    done;
+    let s1 = Gc.quick_stat () in
+    let words = s1.Gc.minor_words -. s0.Gc.minor_words in
+    let allowed = int_of_float (words /. heap) + 1 in
+    let got = s1.Gc.minor_collections - s0.Gc.minor_collections in
+    if got > allowed then
+      Alcotest.failf "%s: %d minor collections in %d calls for %.0f minor words (at most %d)"
+        name got k words allowed
+  in
+  check "Sos_gen.generate" (fun i ->
+      Workload.Sos_gen.generate (Prelude.Rng.create i) family ~n ~m:8 ());
+  check "Instance.of_string_checked" (fun _ -> Instance.of_string_checked text);
+  check "Schedule.validate" (fun _ -> Schedule.validate sched)
+
 let suite =
   ( "instance",
     [
@@ -162,4 +266,8 @@ let suite =
       qcheck_roundtrip;
       qcheck_lb_monotone_under_addition;
       qcheck_lb_le_trivial_schedule;
+      qcheck_builder_oracle;
+      qcheck_generate_oracle;
+      Alcotest.test_case "no forced minor GC on the per-spec path" `Quick
+        test_no_forced_minor_gc;
     ] )

@@ -114,6 +114,64 @@ let test_negative_values () =
   expect_reason "negative"
     (Schedule.make inst (step [ alloc 0 (-1) 0 ] :: List.tl steps))
 
+(* Exact (at_step, reason) on doctored schedules, pinned to the messages
+   the validator has always produced; repeat > 1 blocks included. *)
+let test_exact_violations () =
+  let inst, good = valid_fixture () in
+  let long = Instance.create ~m:2 ~scale:10 [ (4, 4) ] in
+  let block repeat allocs = { Schedule.allocs; repeat } in
+  let cases =
+    [
+      ("overuse", inst, step [ alloc 0 6 2; alloc 1 5 4 ] :: List.tl good, 0,
+       "resource overused: 11 > scale 10");
+      ( "too many jobs",
+        Instance.create ~m:2 ~scale:10 [ (2, 4); (1, 6); (3, 2) ],
+        [ step [ alloc 0 2 2; alloc 1 4 4; alloc 2 2 2 ] ],
+        0,
+        "too many jobs in one step: 3 > m=2" );
+      ("twice, repeat > 1", long, [ block 2 [ alloc 0 2 2; alloc 0 2 2 ] ], 0,
+       "job 0 allocated twice in one step");
+      ( "twice in a later block",
+        long,
+        [ block 2 [ alloc 0 4 4 ]; block 2 [ alloc 0 4 4; alloc 0 4 4 ] ],
+        2,
+        "job 0 allocated twice in one step" );
+      ("unknown job", inst, step [ alloc 7 1 1 ] :: good, 0, "allocation for unknown job 7");
+      ("negative assignment", inst, step [ alloc 0 (-1) 0 ] :: List.tl good, 0,
+       "job 0: negative assignment");
+      ("negative consumption", inst, step [ alloc 0 2 (-1) ] :: List.tl good, 0,
+       "job 0: negative consumption");
+      ("consumed above rate", inst, step [ alloc 0 2 3 ] :: List.tl good, 0,
+       "job 0: consumed 3 > min(assigned=2, r=2)");
+      ("over-consumed", long, [ block 3 [ alloc 0 4 4 ]; block 2 [ alloc 0 4 4 ] ], 3,
+       "job 0: over-consumed (8 > remaining 4)");
+      ("under-consumed, repeat > 1", long, [ block 8 [ alloc 0 4 2 ] ], 0,
+       "job 0: under-consumed (2 < 4) outside its finishing step");
+      ("not finished", long, [ block 3 [ alloc 0 4 4 ] ], -1, "job 0 not finished: 4 units left");
+      ( "preempted",
+        long,
+        [ block 2 [ alloc 0 4 4 ]; block 5 []; block 2 [ alloc 0 4 4 ] ],
+        -1,
+        "job 0 preempted: present 4 of steps [0..8]" );
+    ]
+  in
+  List.iter
+    (fun (name, inst, steps, at_step, reason) ->
+      match Schedule.validate (Schedule.make inst steps) with
+      | Ok () -> Alcotest.failf "%s: accepted" name
+      | Error v ->
+          Alcotest.(check (pair int string)) name (at_step, reason)
+            (v.Schedule.at_step, v.Schedule.reason))
+    cases;
+  (* The same job in consecutive blocks (a split run) is one allocation
+     per block, not a double allocation. *)
+  match
+    Schedule.validate
+      (Schedule.make long [ block 2 [ alloc 0 4 4 ]; block 1 [ alloc 0 4 4 ]; block 1 [ alloc 0 4 4 ] ])
+  with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "consecutive blocks rejected: %s" v.Schedule.reason
+
 (* --- export --- *)
 
 let test_csv_exports () =
@@ -448,6 +506,7 @@ let suite =
       Alcotest.test_case "inject: unfinished job" `Quick test_unfinished;
       Alcotest.test_case "inject: RLE under-consumption" `Quick test_rle_under_consumption;
       Alcotest.test_case "inject: negative values" `Quick test_negative_values;
+      Alcotest.test_case "inject: exact messages, repeat > 1" `Quick test_exact_violations;
       Alcotest.test_case "csv exports" `Quick test_csv_exports;
       Alcotest.test_case "RLE expand agreement" `Quick test_expand_agreement;
       qcheck_utilization_matches_reference;

@@ -208,6 +208,29 @@ let test_cli_help () =
       Alcotest.(check bool) (cmd ^ " --help names the command") true (Helpers.contains out cmd))
     commands
 
+(* A failed `export --specs-bin` conversion (n = 2^32 + 5 does not fit a
+   binary field) exits 2, creates no file, and leaves an existing
+   destination byte-unchanged. *)
+let test_cli_specs_bin_failure () =
+  with_temp "uniform-small 4 4\nuniform-small 4294967301 4\n" @@ fun specs ->
+  let dst = Filename.temp_file "sosspecs" ".bin" in
+  Sys.remove dst;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dst then Sys.remove dst)
+    (fun () ->
+      let args = Printf.sprintf "export %s --specs-bin %s" (Filename.quote specs) (Filename.quote dst) in
+      let code, _, err = run_sosctl args in
+      Alcotest.(check int) "exit" 2 code;
+      Alcotest.(check bool) "names the record" true (Helpers.contains err "record 2");
+      Alcotest.(check bool) "no file created" false (Sys.file_exists dst);
+      Alcotest.(check bool) "no temp file left" false (Sys.file_exists (dst ^ ".tmp"));
+      let before = "sosbin1 from an earlier run\n" in
+      Out_channel.with_open_bin dst (fun oc -> Out_channel.output_string oc before);
+      let code, _, _ = run_sosctl args in
+      Alcotest.(check int) "exit with existing destination" 2 code;
+      Alcotest.(check string) "destination unchanged" before
+        (In_channel.with_open_bin dst In_channel.input_all))
+
 let suite =
   ( "solver",
     [
@@ -218,5 +241,7 @@ let suite =
       Alcotest.test_case "step-by-step solvers honour deadlines" `Quick test_deadline;
       Alcotest.test_case "sosctl: unit precondition exits 2" `Quick test_cli_unit_precondition;
       Alcotest.test_case "sosctl: export -a literal" `Quick test_cli_export_literal;
+      Alcotest.test_case "sosctl: failed --specs-bin writes nothing" `Quick
+        test_cli_specs_bin_failure;
       Alcotest.test_case "sosctl: --help on every subcommand" `Quick test_cli_help;
     ] )
